@@ -134,6 +134,18 @@ def add_fabric_flags(p, multiple: bool = False) -> None:
                    help="deterministic routing policy override")
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (batch sizes)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def add_population_flags(p) -> None:
     """``--population`` / ``--tempering`` on the search commands."""
     p.add_argument("--population", type=int, default=1,
@@ -825,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+", default=["TF"],
                    help=f"registry names ({', '.join(sorted(MODEL_REGISTRY))}) "
                         "or model files (.onnx / spec .json/.yaml)")
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--batch", type=positive_int, default=64)
     p.add_argument("--iters", type=int, default=80)
     p.add_argument("--full", action="store_true",
                    help="use the full Table-I grid (slow)")
@@ -849,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"registry name ({', '.join(sorted(MODEL_REGISTRY))}) "
                         "or a model file (.onnx / spec / graph JSON)")
     p.add_argument("--arch", default="g-arch")
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--batch", type=positive_int, default=64)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--proposal-batch", type=int, default=1,
                    help="SA proposals scored per iteration (best-of-K "
@@ -894,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "omit to use --models/--batches/--archs")
     p.add_argument("--models", nargs="+",
                    default=["BERT", "MBV2", "UNet", "GPT-Dec"])
-    p.add_argument("--batches", type=int, nargs="+", default=[1, 64])
+    p.add_argument("--batches", type=positive_int, nargs="+", default=[1, 64])
     p.add_argument("--archs", nargs="+", default=["g-arch"])
     p.add_argument("--iters", type=int, default=0,
                    help="SA budget per layer group (0 = scenario default)")
@@ -928,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(smoke tests)")
     c.add_argument("--models", nargs="+", default=["TF"],
                    help="registry names or model files")
-    c.add_argument("--batch", type=int, default=64)
+    c.add_argument("--batch", type=positive_int, default=64)
     c.add_argument("--iters", type=int, default=80)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--seed-stride", type=int, default=0)
@@ -1034,7 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="TF",
                    help="registry name or model file")
     p.add_argument("--arch", default="g-arch")
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--batch", type=positive_int, default=64)
     p.add_argument("--iters", type=int, default=400)
     add_fabric_flags(p)
     p.add_argument("--out", default=None,
@@ -1068,7 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="TF",
                    help="registry name or model file")
     p.add_argument("--arch", default="g-arch")
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--batch", type=positive_int, default=64)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1,

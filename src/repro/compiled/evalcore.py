@@ -180,7 +180,6 @@ class CompiledEval:
         self.input_blocks = LruDict(16384, name="compiled.inputs")
         self.pair_geom = LruDict(32768, name="compiled.pairs")
         self.slice_flows = LruDict(16384, name="compiled.slices")
-        self._intra = LruDict(200_000)
         self._trees = LruDict(65536)
         self._group_ctx: dict[tuple[str, ...], _GroupCtx] = {}
         self._empty_block: LayerTrafficBlock | None = None
@@ -285,25 +284,20 @@ class CompiledEval:
             [ext[:, 2], ext[:, 3], ext[:, 0], ext[:, 1], c, grp], axis=1
         ).tolist()
 
-        memo = self._intra
         schedule = self.ev.intracore.schedule
         results = []
-        base = (kind, r, s, stride, bpe)
         # Near-equal splits yield few distinct part shapes; dedupe
-        # locally so the shared memo is probed once per shape.
+        # locally so the engine's memo is probed once per shape.
         local: dict[tuple, object] = {}
         for row in sig_rows:
             sig = (row[0], row[1], row[2], row[3], row[4], row[5])
             res = local.get(sig)
             if res is None:
-                res = memo.get_lru((base, sig))
-                if res is None:
-                    res = schedule(CoreWorkload(
-                        kind=kind, b=sig[0], k=sig[1], h=sig[2], w=sig[3],
-                        c=sig[4], r=r, s=s, stride=stride, groups=sig[5],
-                        bytes_per_elem=bpe,
-                    ))
-                    memo.put((base, sig), res)
+                res = schedule(CoreWorkload(
+                    kind=kind, b=sig[0], k=sig[1], h=sig[2], w=sig[3],
+                    c=sig[4], r=r, s=s, stride=stride, groups=sig[5],
+                    bytes_per_elem=bpe,
+                ))
                 local[sig] = res
             results.append(res)
         # Per-part aggregation in part order (same fold as the object

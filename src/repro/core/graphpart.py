@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.arch.energy import DEFAULT_ENERGY, EnergyModel
 from repro.arch.params import ArchConfig
 from repro.core.encoding import LayerGroup
+from repro.errors import InvalidWorkloadError
 from repro.workloads.graph import DNNGraph
 
 
@@ -94,6 +95,94 @@ def estimate_group_cost(
     return best
 
 
+def _segment_pricer(
+    graph: DNNGraph,
+    order: list[str],
+    arch: ArchConfig,
+    batch: int,
+    energy: EnergyModel,
+):
+    """Tabulate the graph once; return ``price(start, end)``.
+
+    ``price`` gives ``(cost, batch_unit)`` of the contiguous group
+    ``order[start:end]`` exactly as :func:`estimate_group_cost` would:
+    the same terms are accumulated in the same order with the same
+    operators, so every cost (and so every DP tie-break) is bit-equal.
+    Contiguity makes the "outside the group" tests index compares — a
+    producer is outside iff it precedes ``start`` (producers precede
+    their consumers in topological order), a successor iff it is at or
+    past ``end`` — so pricing needs no name sets or graph queries.
+    """
+    n = len(order)
+    index = {name: i for i, name in enumerate(order)}
+    layers = [graph.layer(name) for name in order]
+    weights = [layer.weight_bytes() for layer in layers]
+    # Index of each layer's last successor; a DNN output (no
+    # successors) gets n, which no group reaches, so its ofmap is
+    # always written out.
+    last_succ = [
+        max((index[s] for s in graph.successors(name)), default=n)
+        for name in order
+    ]
+    # Input slices as (producer index or -1 for the DNN input, channels).
+    sources = [
+        [(-1 if s.producer is None else index[s.producer], s.channels)
+         for s in graph.input_slices(name)]
+        for name in order
+    ]
+    # Per batch unit: rounds, then per-layer MACs, ofmap bytes and
+    # (producer index, ifmap bytes of that slice) input terms.
+    tables = []
+    for unit in _candidate_units(batch):
+        inputs = [
+            [(p, layer.ifmap_bytes(unit) * (ch / max(1, layer.in_c)))
+             for p, ch in src]
+            for layer, src in zip(layers, sources)
+        ]
+        tables.append((
+            unit,
+            math.ceil(batch / unit),
+            [layer.macs(unit) for layer in layers],
+            [layer.ofmap_bytes(unit) for layer in layers],
+            inputs,
+        ))
+    ref_power = arch.peak_macs_per_s * energy.e_mac
+    e_mac, e_dram = energy.e_mac, energy.e_dram
+    sustained = arch.peak_macs_per_s * 0.6
+    dram_bw = arch.dram_bw
+
+    def price(start: int, end: int) -> tuple[float, int]:
+        total_weights = sum(weights[start:end])
+        best_cost = math.inf
+        best_unit = None
+        for unit, rounds, macs_t, ofmap_t, inputs_t in tables:
+            macs = sum(macs_t[start:end])
+            io_bytes = 0
+            for i in range(start, end):
+                for p, term in inputs_t[i]:
+                    if p < start:
+                        io_bytes += term
+                if last_succ[i] >= end:
+                    io_bytes += ofmap_t[i]
+            weights_per_round = total_weights / rounds
+            dram_bytes = io_bytes + weights_per_round
+            compute = macs / sustained
+            dram_t = dram_bytes / dram_bw
+            stage = max(compute, dram_t)
+            delay = stage * (rounds + (end - start) - 1)
+            joules = (
+                macs * rounds * e_mac
+                + (io_bytes * rounds + total_weights) * e_dram
+            )
+            cost = joules + ref_power * delay
+            if best_unit is None or cost < best_cost:
+                best_cost = cost
+                best_unit = unit
+        return best_cost, best_unit
+
+    return price
+
+
 def partition_graph(
     graph: DNNGraph,
     arch: ArchConfig,
@@ -102,26 +191,23 @@ def partition_graph(
     energy: EnergyModel = DEFAULT_ENERGY,
 ) -> list[LayerGroup]:
     """Segment the topological order into layer groups by DP."""
+    if batch < 1:
+        raise InvalidWorkloadError(f"batch must be >= 1, got {batch}")
     order = graph.topological_order()
     n = len(order)
     limit = min(max_group_layers, arch.n_cores)
+    price = _segment_pricer(graph, order, arch, batch, energy)
     # dp[i]: best cost of partitioning order[:i]; choice[i]: group start.
     dp = [math.inf] * (n + 1)
     dp[0] = 0.0
     choice: list[tuple[int, int]] = [(0, 1)] * (n + 1)
-    estimates: dict[tuple[int, int], GroupEstimate] = {}
     for end in range(1, n + 1):
         for start in range(max(0, end - limit), end):
-            est = estimates.get((start, end))
-            if est is None:
-                est = estimate_group_cost(
-                    graph, order[start:end], arch, batch, energy
-                )
-                estimates[(start, end)] = est
-            cost = dp[start] + est.cost
+            seg_cost, unit = price(start, end)
+            cost = dp[start] + seg_cost
             if cost < dp[end]:
                 dp[end] = cost
-                choice[end] = (start, est.batch_unit)
+                choice[end] = (start, unit)
     groups: list[LayerGroup] = []
     end = n
     while end > 0:

@@ -32,14 +32,6 @@ from repro.arch.energy import EnergyModel
 from repro.intracore.dataflow import CoreWorkload, PEArray
 from repro.intracore.result import IntraCoreResult
 
-#: Loop orders: name -> (ifmap multiplier, weight multiplier, psum passes)
-#: expressed as functions of the (n_k, n_c, n_h) trip counts.
-_LOOP_ORDERS = {
-    "WS": lambda nk, nc, nh: (nk, 1, nc),
-    "OS": lambda nk, nc, nh: (nk, nh, 1),
-    "IS": lambda nk, nc, nh: (1, nh, nc),
-}
-
 #: Bytes per partial sum held in GLB when accumulation spans C tiles.
 _PSUM_BYTES = 4
 
@@ -125,9 +117,12 @@ def schedule_workload(
     compute_floor = cycles / frequency
     is_matmul = wl.kind.value == "matmul"
 
-    tks = np.array(_geometric_choices(wl.k), dtype=np.int64)[:, None, None]
-    tcs = np.array(_geometric_choices(wl.c), dtype=np.int64)[None, :, None]
-    ths = np.array(_geometric_choices(wl.h), dtype=np.int64)[None, None, :]
+    k_choices = _geometric_choices(wl.k)
+    c_choices = _geometric_choices(wl.c)
+    h_choices = _geometric_choices(wl.h)
+    tks = np.array(k_choices, dtype=np.int64)[:, None, None]
+    tcs = np.array(c_choices, dtype=np.int64)[None, :, None]
+    ths = np.array(h_choices, dtype=np.int64)[None, None, :]
     n_k = -(-wl.k // tks)
     n_c = -(-wl.c // tcs)
     n_h = -(-wl.h // ths)
@@ -143,32 +138,43 @@ def schedule_workload(
     working_set = w_tile + if_tile + of_tile
     fits = working_set <= budget
 
-    # Loop-order multipliers stacked on a trailing axis (WS, OS, IS) —
-    # the same innermost position the scalar search iterated them in.
-    full = np.broadcast_shapes(n_k.shape, n_c.shape, n_h.shape)
-    ones = np.broadcast_to(np.int64(1), full)
-    m_if = np.stack(np.broadcast_arrays(n_k, n_k, ones), axis=-1)
-    m_w = np.stack(np.broadcast_arrays(ones, n_h, n_h), axis=-1)
-    m_psum = np.stack(np.broadcast_arrays(n_c, ones, n_c), axis=-1)
+    # Loop-order multipliers on a trailing axis (WS, OS, IS) — the same
+    # innermost position the scalar search iterated them in — written
+    # straight into preallocated grids.
+    shape = (len(k_choices), len(c_choices), len(h_choices), 3)
+    m_if = np.empty(shape, dtype=np.int64)
+    m_if[..., 0] = n_k
+    m_if[..., 1] = n_k
+    m_if[..., 2] = 1
+    m_w = np.empty(shape, dtype=np.int64)
+    m_w[..., 0] = 1
+    m_w[..., 1] = n_h
+    m_w[..., 2] = n_h
+    m_psum = np.empty(shape, dtype=np.int64)
+    m_psum[..., 0] = n_c
+    m_psum[..., 1] = 1
+    m_psum[..., 2] = n_c
 
     glb_traffic = (
         if_vol * m_if + 2 * (w_vol * m_w)
         + of_vol * (2 * m_psum - 1) + read_if
     )
-    glb_traffic = np.where(fits[..., None], glb_traffic, glb_traffic * 4)
+    fits_o = fits[..., None]  # broadcasts over the order axis
+    glb_traffic = np.where(fits_o, glb_traffic, glb_traffic * 4)
     e = mac_j + glb_traffic * energy.e_glb + reg_j
     time = np.maximum(compute_floor, glb_traffic / glb_bw)
 
-    fits4 = np.broadcast_to(fits[..., None], m_if.shape)
-    if fits4.any():
-        cost = np.where(fits4, e * time, np.inf).ravel()
+    if fits.any():
+        cost = np.where(fits_o, e * time, np.inf).ravel()
         idx = int(np.argmin(cost))  # first minimum == scalar scan order
     else:
         # Nothing fits: the smallest-working-set tiling under the WS
         # order (the first order the scalar scan recorded).
         idx = int(np.argmin(working_set)) * 3
-    pick = np.unravel_index(idx, fits4.shape)
-    ki, ci, hi, oi = (int(v) for v in pick)
+    rest, oi = divmod(idx, 3)
+    rest, hi = divmod(rest, shape[2])
+    ki, ci = divmod(rest, shape[1])
+    pick = (ki, ci, hi, oi)
     return IntraCoreResult(
         cycles=cycles,
         compute_time=float(time[pick]),
@@ -178,7 +184,7 @@ def schedule_workload(
         glb_bytes=int(glb_traffic[pick]),
         reg_bytes=float(reg),
         energy=float(e[pick]),
-        tiling=(int(tks.ravel()[ki]), int(tcs.ravel()[ci]), int(ths.ravel()[hi])),
+        tiling=(k_choices[ki], c_choices[ci], h_choices[hi]),
         loop_order=("WS", "OS", "IS")[oi],
         fits=bool(fits[ki, ci, hi]),
     )

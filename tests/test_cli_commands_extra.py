@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from repro.arch import ArchConfig
 from repro.cli import main
+from repro.cli.main import build_parser
 from repro.core import LayerGroup
 from repro.core.initial import initial_lms
 from repro.core.operators import op5_change_flow
@@ -67,3 +70,29 @@ class TestOp5Reachability:
                     seen[field].add(value)
         for field, values in seen.items():
             assert values == set(range(arch.n_dram + 1)), field
+
+
+class TestCliBatchValidation:
+    """Every --batch/--batches rejects counts below one at parse time
+    (exit 2 with a usage message, never a traceback from the DP)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["map", "--model", "TF", "--batch", "0"],
+        ["map", "--model", "TF", "--batch", "-4"],
+        ["dse", "--batch", "0"],
+        ["campaign", "run", "--name", "x", "--batch", "-1"],
+        ["heatmap", "--batch", "0"],
+        ["sa-report", "--batch", "0"],
+        ["sweep", "--batches", "1", "0"],
+        ["map", "--batch", "two"],
+    ])
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "--batch" in capsys.readouterr().err
+
+    def test_positive_values_parse(self):
+        args = build_parser().parse_args(["sweep", "--batches", "1", "64"])
+        assert args.batches == [1, 64]
+        assert build_parser().parse_args(["map", "--batch", "3"]).batch == 3
