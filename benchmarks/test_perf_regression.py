@@ -1,23 +1,21 @@
 """SA-loop throughput guard and evaluation-path equivalence.
 
-Three evaluator configurations are raced on the Fig 5 workloads:
+The two evaluation paths are raced on the Fig 5 workloads:
 
-* **uncached** — the object path with every cache off (the reference
-  semantics);
-* **cached** — the PR-3 object path with its four cache layers (the
-  baseline the compiled path is measured against);
-* **compiled** — the array-native evaluation core with delta sessions.
+* **uncached** — the object path (the reference oracle);
+* **compiled** — the array-native evaluation core, delta-evaluating
+  each move through the batched fold at N=1.
 
-The bench asserts (a) the three paths produce *identical* annealing
-trajectories, (b) conservative speedup floors that machine noise cannot
-flake, and records the measured ratios (including how many models meet
-the 2x compiled-vs-cached target) in ``BENCH_perf.json``.
+The bench asserts (a) both paths produce *identical* annealing
+trajectories, (b) a conservative compiled-vs-oracle speedup floor that
+machine noise cannot flake, and records the measured ratios against
+the oracle and against the seed evaluator in ``BENCH_perf.json``.
 
 ``seed_reference_iters_per_sec`` are the throughputs of the
 pre-refactor seed evaluator measured on the development machine
 (single-CPU container, best of 3); they anchor the recorded
 ``speedup_vs_seed`` ratios.  On other machines the same-process ratios
-are the robust numbers — all configurations run seconds apart.
+are the robust numbers — both configurations run seconds apart.
 
 The DSE scaling bench uses the persistent worker pool: spawn cost is
 paid once, so the *warm* wall time is the honest per-batch number.
@@ -47,23 +45,16 @@ from repro.reporting import format_table
 #: the models benchmarked back then have a reference.
 SEED_REFERENCE_ITERS_PER_SEC = {"RN-50": 341, "IRes": 334, "TF": 620}
 
-#: Conservative floors asserted in CI (measured ratios are recorded,
-#: and sit well above these on every machine tried).  Ratios are
-#: computed from process CPU time — wall clock on shared runners can
-#: stall one configuration's run by 2x and flake any floor.
-MIN_CACHED_SPEEDUP = 1.25          # cached object path vs uncached
-MIN_COMPILED_SPEEDUP = 1.6         # compiled path vs uncached
-MIN_COMPILED_VS_CACHED = 1.1       # compiled path vs cached baseline
-
-#: The tentpole target recorded (not asserted — wall-clock on shared
-#: runners is too noisy to gate on): compiled >= 2x cached.
-COMPILED_TARGET_VS_CACHED = 2.0
+#: Conservative floor asserted in CI (measured ratios are recorded,
+#: and sit well above it on every machine tried).  Ratios are computed
+#: from process CPU time — wall clock on shared runners can stall one
+#: configuration's run by 2x and flake any floor.
+MIN_COMPILED_SPEEDUP = 1.6         # compiled path vs uncached oracle
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_perf.json")
 
 CONFIGS = (
     ("uncached", dict(cache=False)),
-    ("cached", dict(cache=True, compiled=False)),
     ("compiled", dict(cache=True)),
 )
 
@@ -109,24 +100,19 @@ def test_sa_throughput_and_equivalence(models, benchmark):
                     best[label] = max(best[label], cpu_ips)
                     wall[label] = max(wall[label], ctl.stats.iters_per_sec)
                     samples[label].append(cpu_ips)
-            # All three paths: identical trajectories, bit for bit.
-            for label in ("cached", "compiled"):
-                assert ctls[label].best_costs == ctls["uncached"].best_costs
-                assert ctls[label].stats.final_cost == \
-                    ctls["uncached"].stats.final_cost
-                assert ctls[label].stats.accepted == \
-                    ctls["uncached"].stats.accepted
+            # Both paths: identical trajectories, bit for bit.
+            assert ctls["compiled"].best_costs == ctls["uncached"].best_costs
+            assert ctls["compiled"].stats.final_cost == \
+                ctls["uncached"].stats.final_cost
+            assert ctls["compiled"].stats.accepted == \
+                ctls["uncached"].stats.accepted
             seed_ref = SEED_REFERENCE_ITERS_PER_SEC.get(name)
             record[name] = {
                 "uncached_iters_per_sec": best["uncached"],
-                "cached_iters_per_sec": best["cached"],
                 "compiled_iters_per_sec": best["compiled"],
                 "compiled_wall_iters_per_sec": wall["compiled"],
-                "speedup_cached_vs_uncached": best["cached"] / best["uncached"],
                 "speedup_compiled_vs_uncached":
                     best["compiled"] / best["uncached"],
-                "speedup_compiled_vs_cached":
-                    best["compiled"] / best["cached"],
             }
             for label, _ in CONFIGS:
                 vals = samples[label]
@@ -139,46 +125,29 @@ def test_sa_throughput_and_equivalence(models, benchmark):
                 record[name]["seed_reference_iters_per_sec"] = seed_ref
                 record[name]["speedup_vs_seed"] = best["compiled"] / seed_ref
             rows.append([
-                name, f"{best['uncached']:.0f}", f"{best['cached']:.0f}",
-                f"{best['compiled']:.0f}",
-                f"{best['compiled'] / best['cached']:.2f}x",
+                name, f"{best['uncached']:.0f}", f"{best['compiled']:.0f}",
+                f"{best['compiled'] / best['uncached']:.2f}x",
                 f"{best['compiled'] / seed_ref:.2f}x" if seed_ref else "-",
             ])
         return rows, record
 
     rows, record = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_banner("SA-loop throughput: uncached vs cached vs compiled")
+    print_banner("SA-loop throughput: uncached oracle vs compiled")
     print(format_table(
-        ["model", "uncached it/s", "cached it/s", "compiled it/s",
-         "compiled/cached", "vs seed ref"],
+        ["model", "uncached it/s", "compiled it/s", "compiled/uncached",
+         "vs seed ref"],
         rows,
     ))
-    met_2x = [
-        name for name, rec in record.items()
-        if rec["speedup_compiled_vs_cached"] >= COMPILED_TARGET_VS_CACHED
-    ]
-    print(f"models meeting the {COMPILED_TARGET_VS_CACHED}x "
-          f"compiled-vs-cached target: {met_2x or 'none this run'}")
     emit_bench("sa_throughput", {
         "iterations": iterations,
         "batch": batch,
         "arch": "g-arch",
         "models": record,
-        "compiled_vs_cached_target": COMPILED_TARGET_VS_CACHED,
-        "models_meeting_target": met_2x,
     }, BENCH_PATH)
     for name, rec in record.items():
-        assert rec["speedup_cached_vs_uncached"] >= MIN_CACHED_SPEEDUP, (
-            f"{name}: cached SA loop only "
-            f"{rec['speedup_cached_vs_uncached']:.2f}x faster than uncached"
-        )
         assert rec["speedup_compiled_vs_uncached"] >= MIN_COMPILED_SPEEDUP, (
             f"{name}: compiled SA loop only "
             f"{rec['speedup_compiled_vs_uncached']:.2f}x faster than uncached"
-        )
-        assert rec["speedup_compiled_vs_cached"] >= MIN_COMPILED_VS_CACHED, (
-            f"{name}: compiled SA loop only "
-            f"{rec['speedup_compiled_vs_cached']:.2f}x faster than cached"
         )
 
 

@@ -108,6 +108,9 @@ def settings_digest(
     # gets computed, so a diag'd evaluation must keep matching the
     # store records a plain run wrote (and vice versa).
     sa_dict.pop("diag", None)
+    # The retired best-of-K knob is hashed at its only surviving value,
+    # so the stores written while it existed keep serving.
+    sa_dict["proposal_batch"] = 1
     # population=1 is exactly the serial walk (the population fields
     # did not exist when older stores were written), so N=1 digests
     # must stay byte-identical to pre-population ones; any N>1 keys a

@@ -135,7 +135,8 @@ def add_fabric_flags(p, multiple: bool = False) -> None:
 
 
 def positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (batch sizes)."""
+    """argparse type for counts that must be >= 1 (batch sizes,
+    population sizes, tempering rungs)."""
     try:
         value = int(text)
     except ValueError:
@@ -148,12 +149,12 @@ def positive_int(text: str) -> int:
 
 def add_population_flags(p) -> None:
     """``--population`` / ``--tempering`` on the search commands."""
-    p.add_argument("--population", type=int, default=1,
+    p.add_argument("--population", type=positive_int, default=1,
                    help="SA walkers annealed in lockstep batches (1 = the "
                         "paper's serial walk; >1 evaluates the whole "
                         "population per step through the batched compiled "
                         "core)")
-    p.add_argument("--tempering", type=int, default=1,
+    p.add_argument("--tempering", type=positive_int, default=1,
                    help="parallel-tempering rungs spread over the "
                         "population (requires --population > 1; rung 0 "
                         "anneals at the base schedule, higher rungs run "
@@ -184,13 +185,11 @@ def resolve_model(spec: str) -> DNNGraph:
 
 
 def engine_for(arch: ArchConfig, iterations: int, seed: int = 0,
-               proposal_batch: int = 1, population: int = 1,
-               tempering: int = 1) -> MappingEngine:
+               population: int = 1, tempering: int = 1) -> MappingEngine:
     return MappingEngine(
         arch,
         settings=MappingEngineSettings(
             sa=SASettings(iterations=iterations, seed=seed,
-                          proposal_batch=proposal_batch,
                           population=population, tempering=tempering)
         ),
     )
@@ -291,7 +290,7 @@ def cmd_map(args) -> int:
     arch = fabric_overridden(resolve_arch(args.arch), args)
     graph = resolve_model(args.model)
     result = engine_for(
-        arch, args.iters, proposal_batch=args.proposal_batch,
+        arch, args.iters,
         population=args.population, tempering=args.tempering,
     ).map(graph, args.batch)
     summary = mapping_result_summary(result)
@@ -668,8 +667,7 @@ def cmd_sa_report(args) -> int:
     engine = MappingEngine(
         arch,
         settings=MappingEngineSettings(
-            sa=SASettings(iterations=args.iters, seed=args.seed,
-                          proposal_batch=args.proposal_batch, diag=True),
+            sa=SASettings(iterations=args.iters, seed=args.seed, diag=True),
             restarts=args.restarts,
         ),
     )
@@ -863,9 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", default="g-arch")
     p.add_argument("--batch", type=positive_int, default=64)
     p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--proposal-batch", type=int, default=1,
-                   help="SA proposals scored per iteration (best-of-K "
-                        "delta evaluation; 1 = the paper's plain walk)")
     add_population_flags(p)
     add_fabric_flags(p)
     p.add_argument("--save-mapping")
@@ -1085,8 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1,
                    help="independent SA restarts (best run wins)")
-    p.add_argument("--proposal-batch", type=int, default=1,
-                   help="SA proposals scored per iteration")
     add_fabric_flags(p)
     p.add_argument("--profile", action="store_true",
                    help="print perf counters and write BENCH_perf.json")

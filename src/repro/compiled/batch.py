@@ -1,21 +1,22 @@
-"""Population-batched evaluation: N candidate mappings per numpy call.
+"""Batched evaluation: N candidate mappings per numpy call.
 
-The compiled core (:mod:`repro.compiled.evalcore`) lowered *one*
-mapping into SoA tables; this module lowers a *population*.  N
-candidate mappings of one layer group are stacked into a single
-``(blocks, N, lanes)`` buffer — volumes, the three DRAM aggregates and
-the weight-tree hop counter side by side in one lane axis — and the
-canonical block fold plus the delay/energy finalize run as whole-array
-ops across every slot at once.
+The compiled core (:mod:`repro.compiled.evalcore`) lowers layers into
+partition and scheme records; this module turns those records into
+traffic blocks and group evaluations for a *population* of mappings —
+and every compiled evaluation goes through it, a single mapping being
+the N=1 population.  N candidate mappings of one layer group are
+stacked into a single ``(blocks, N, lanes)`` buffer — volumes, the
+three DRAM aggregates and the weight-tree hop counter side by side in
+one lane axis — and the canonical block fold plus the delay/energy
+finalize run as whole-array ops across every slot at once.
 
-Bit-identity with the per-mapping path is a hard invariant, so the
+Bit-identity with the object path is a hard invariant, so the
 batching only ever *widens* the serial arithmetic, never reassociates
 it:
 
 * the group fold adds one block row at a time across all slots
-  (``acc += buf[j]``), replaying the per-slot left fold from zero that
-  :class:`~repro.compiled.evalcore.GroupSession` already asserts equal
-  to ``np.add.reduce`` over the stacked blocks;
+  (``acc += buf[j]``), the per-slot left fold from zero that the object
+  path's ``np.add.reduce`` over the stacked blocks performs;
 * missing DRAM parts fold ``+0.0`` instead of being skipped — exact
   for the non-negative aggregates carried here;
 * scatter kernels batch many ``np.bincount`` calls into one by giving
@@ -30,23 +31,23 @@ it:
   stay per-slot on contiguous row views, because numpy's pairwise
   summation is shape-dependent.
 
-``tests/test_compiled_batch.py`` pins all of this: batch size 1 and
-every slot of any N are float-exact against
-:meth:`CompiledEval.evaluate_group`, across the model registry and
-including annealed (mid-search) states.
+``tests/test_compiled_batch.py`` and ``tests/test_compiled_identity.py``
+pin all of this float-exact against the object oracle, across the
+model registry, including annealed (mid-search) states, and under
+batch-slot permutation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.encoding import INTERLEAVED, LayerGroupMapping
+from repro.core.encoding import LayerGroupMapping
 from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval
-from repro.evalmodel.traffic_analysis import LayerTrafficBlock, _dram_targets
-from repro.compiled.evalcore import CompiledEval, GroupSession, Proposal
+from repro.evalmodel.traffic_analysis import _dram_targets
+from repro.compiled.evalcore import CompiledEval, GroupSession, StagedCandidate
 from repro.compiled.graph import as_index_table, stacked_offsets
 
 
@@ -208,48 +209,49 @@ class _PendingInput:
 
     def __init__(self, parts: list):
         self.parts = parts
-        self.block: LayerTrafficBlock | None = None
+        self.block: np.ndarray | None = None
 
 
 class _PendingSelf:
-    """A self block whose link scatters are queued, not yet run."""
+    """A self block whose link scatters are queued, not yet run; its
+    DRAM tallies are already written into ``row``."""
 
-    __slots__ = (
-        "seg", "ofmap_reqs", "dram_read", "dram_write", "dram_once",
-        "hop", "block",
-    )
+    __slots__ = ("seg", "ofmap_reqs", "row", "hop", "block")
 
-    def __init__(self, seg, ofmap_reqs, dram_read, dram_write,
-                 dram_once, hop):
+    def __init__(self, seg, ofmap_reqs, row, hop):
         self.seg = seg
         self.ofmap_reqs = ofmap_reqs
-        self.dram_read = dram_read
-        self.dram_write = dram_write
-        self.dram_once = dram_once
+        self.row = row
         self.hop = hop
-        self.block: LayerTrafficBlock | None = None
+        self.block: np.ndarray | None = None
 
 
 class _DeferredBlocks:
-    """Builds many input blocks with batched scatter kernels.
+    """Builds traffic blocks with batched scatter kernels.
 
-    Staging mirrors :meth:`CompiledEval._build_input_block` slice for
-    slice — same cache keys, same geometry/mask arithmetic — but
-    queues every cache-missed bincount; :meth:`flush` runs the two
-    batched kernels, writes the materialized per-slice ops back into
-    ``slice_flows`` (so every walker of a population shares them), and
-    folds each pending block in canonical slice order.
+    Staging walks each block against the shared :class:`CompiledEval`
+    caches but queues every cache-missed bincount; :meth:`flush` runs
+    the three batched kernels, writes the materialized per-slice ops
+    and self blocks back into the caches (so every walker of a
+    population shares them), and folds each pending input block in
+    canonical slice order.  Blocks come out as lane rows (see
+    :class:`CompiledEval`).
+
+    A block's arithmetic is the object analyzer's
+    (``GroupTrafficAnalyzer._layer_inputs`` / ``_layer_weights`` /
+    ``_layer_outputs``) over compiled records: each input slice's
+    contribution is kept as the exact sequence of vector adds the
+    analyzer performs and replayed in slice order, so a move that
+    changes one producer recomputes only that producer's slice.
     """
 
     def __init__(self, ceval: CompiledEval):
         self.ceval = ceval
-        topo = ceval.ev.topo
-        table, lens = topo.core_route_table()
-        self.n_cores = topo.arch.n_cores
-        self.n_dram = len(topo.dram_nodes())
-        self.core_q = _CoreScatterQueue(table, lens, topo.n_links)
-        self.flat_q = _FlatScatterQueue(topo.n_links)
-        self.tree_q = _TreeScatterQueue(topo.n_links)
+        self.core_q = _CoreScatterQueue(
+            ceval.core_table, ceval.core_lens, ceval.n_links
+        )
+        self.flat_q = _FlatScatterQueue(ceval.n_links)
+        self.tree_q = _TreeScatterQueue(ceval.n_links)
         self._pending: list[_PendingInput] = []
         #: Flush-local dedup: candidates of different walkers routinely
         #: miss the same slice key; stage it once, share the segment.
@@ -262,8 +264,11 @@ class _DeferredBlocks:
     def stage_input_block(
         self, ctx, i: int, bu: int, schemes, recs, deps
     ) -> _PendingInput:
-        ceval = self.ceval
-        flows = ceval.slice_flows
+        """Ifmap flows of layer ``i``: per input slice, the cached ops
+        or a staged rebuild.  A slice depends on the layer's partition,
+        core assignment and (DNN-input) ifmap selector, and on its
+        producer's partition + core assignment or DRAM placement."""
+        flows = self.ceval.slice_flows
         layer = recs[i]
         s = schemes[i]
         parts: list[tuple] = []
@@ -302,8 +307,9 @@ class _DeferredBlocks:
         return pb
 
     def _stage_ingroup(self, cons, op_idx, prod, c_part, p_part, bu):
-        # Mirror of _ingroup_slice_ops up to (and excluding) the
-        # bincount, which joins the batched core queue.
+        """One in-group input slice: the producer x consumer part
+        overlaps, minus same-core pairs (that data stays in the core's
+        GLB), queued as one core-to-core route scatter."""
         rec = cons.rec
         geom = self.ceval.pair_geometry(
             rec, op_idx, prod.rec, c_part, p_part, bu
@@ -317,21 +323,38 @@ class _DeferredBlocks:
             return ("ops", ())
         di = di0[mask]
         volumes = bytes0[mask] * rec.if_fetches[di]
-        rows = src[mask] * self.n_cores + dst[mask]
+        rows = src[mask] * self.ceval.arch.n_cores + dst[mask]
         return ("core", self.core_q.add(rows, volumes))
 
-    def stage_self_block(self, lid: int, scheme, bu: int, layer):
-        """Self block of one scheme: cached, empty, or staged.
+    def _stage_dram(self, layer, op_idx: int, fd: int):
+        """One DRAM-read input slice: per FD target, a queued link
+        scatter plus the per-part volumes the DRAM tally folds."""
+        pre = self.ceval._dram_in(layer.rec, op_idx)
+        if pre is None:
+            return ("ops", ())
+        volumes = pre[1]
+        items = []
+        for d, share, valid_idx, rep_lens in self.ceval.dram_plan(
+            layer, fd, op_idx
+        ):
+            v = volumes * share
+            items.append(
+                (self.flat_q.add(valid_idx, v, rep_lens), d, v.tolist())
+            )
+        return ("dram", items)
 
-        Mirrors :meth:`CompiledEval.self_block` (same key, same empty
-        fast path); on a cache miss the weight-slice and ofmap scatters
-        are queued and only the scalar DRAM tallies run inline —
-        returning a :class:`_PendingSelf` resolved at :meth:`flush`.
+    def stage_self_block(self, lid: int, scheme, bu: int, layer):
+        """Weight + ofmap flows of one scheme: shared empty, cached, or
+        staged.
+
+        They depend on the partition, the core assignment and those two
+        FD selectors only.  On a cache miss the weight-tree and ofmap
+        scatters are queued and only the scalar DRAM tallies run inline
+        — returning a :class:`_PendingSelf` resolved at :meth:`flush`.
         """
         ceval = self.ceval
-        rec = layer.rec
-        if rec.weight_slices is None and scheme.fd.ofmap < 0:
-            return ceval.self_block(lid, scheme, bu, layer)
+        if layer.rec.weight_slices is None and scheme.fd.ofmap < 0:
+            return ceval.empty_block
         key = (lid, scheme.part, scheme.core_group,
                scheme.fd.weight, scheme.fd.ofmap, bu)
         block = ceval.self_blocks.get_lru(key)
@@ -345,25 +368,26 @@ class _DeferredBlocks:
         return ps
 
     def _stage_self(self, scheme, layer) -> _PendingSelf:
-        # Mirror of _build_self_block: the per-slice tree scatters of
-        # the weight loop share one bincount segment (sequential
-        # accumulation == the serial vol[tree_links] += v folds from
-        # zero), the ofmap targets keep per-request segments because
-        # the serial path adds each target's *pre-summed* bincount.
+        # The per-slice tree scatters of the weight loop share one
+        # bincount segment (sequential accumulation == the analyzer's
+        # vol[tree_links] += v folds from zero); the ofmap targets keep
+        # per-request segments because the analyzer adds each target's
+        # pre-summed bincount.
         ceval = self.ceval
-        topo = ceval.ev.topo
         rec = layer.rec
-        n_dram = self.n_dram
-        dram_read = np.zeros(n_dram)
-        dram_write = np.zeros(n_dram)
-        dram_once = np.zeros(n_dram)
+        row = np.zeros(ceval.lanes)
+        dram_read = row[ceval.sl_dr]
+        dram_write = row[ceval.sl_dw]
+        dram_once = row[ceval.sl_do]
         hop = 0.0
         tree_q = self.tree_q
         seg = tree_q.new_segment()
         if rec.weight_slices is not None:
-            targets = _dram_targets(topo, scheme.fd.weight)
+            # Cores sharing a K-slice receive the same bytes: one
+            # multicast tree per slice and DRAM target.
+            targets = _dram_targets(ceval.topo, scheme.fd.weight)
             cores_list = layer.cores_list
-            glb_half = ceval.ev.arch.glb_bytes / 2
+            glb_half = ceval.arch.glb_bytes / 2
             trees = ceval._trees
             tree_links = ceval._tree_links
             for volume, kk, pk in rec.weight_slices:
@@ -375,6 +399,7 @@ class _DeferredBlocks:
                         got = tree_links(dram, dsts)
                     v = volume * share
                     if resident:
+                        # Loaded once per inference (prologue).
                         dram_once[dram[1]] += v
                         hop += v * got[1]
                     else:
@@ -383,60 +408,18 @@ class _DeferredBlocks:
         ofmap_reqs = []
         fd = scheme.fd.ofmap
         if fd >= 0:
-            plan = layer.dram_plans.get((fd, True, None))
-            if plan is None:
-                cores = layer.cores
-                to_d, to_l, _, _ = topo.dram_route_tables()
-                plan = []
-                for dram, share in _dram_targets(topo, fd):
-                    d = dram[1]
-                    rows = cores * n_dram + d
-                    padded = to_d[rows].ravel()
-                    plan.append((d, share, padded[padded >= 0], to_l[rows]))
-                layer.dram_plans[(fd, True, None)] = plan
             volumes = rec.out_volumes
-            for d, share, valid_idx, rep_lens in plan:
+            for d, share, valid_idx, rep_lens in ceval.dram_plan(layer, fd):
                 v = volumes * share
                 ofmap_reqs.append(
                     self.flat_q.add(valid_idx, v, rep_lens)
                 )
-                # Sequential per-part tally, as in the serial scatter.
+                # Sequential per-part tally, as in dram_scatter_batch.
                 t = dram_write[d]
                 for x in v.tolist():
                     t += x
                 dram_write[d] = t
-        return _PendingSelf(
-            seg, ofmap_reqs, dram_read, dram_write, dram_once, hop
-        )
-
-    def _stage_dram(self, layer, op_idx: int, fd: int):
-        # Mirror of _dram_slice_ops; the per-target bincounts join the
-        # flat queue, the (cached) plan gather is unchanged.
-        ceval = self.ceval
-        pre = ceval._dram_in(layer.rec, op_idx)
-        if pre is None:
-            return ("ops", ())
-        idx, volumes = pre
-        topo = ceval.ev.topo
-        plan = layer.dram_plans.get((fd, False, op_idx))
-        if plan is None:
-            cores_sel = layer.cores[idx]
-            n_dram = len(topo.dram_nodes())
-            _, _, from_d, from_l = topo.dram_route_tables()
-            plan = []
-            for dram, share in _dram_targets(topo, fd):
-                d = dram[1]
-                rows = cores_sel * n_dram + d
-                padded = from_d[rows].ravel()
-                plan.append((d, share, padded[padded >= 0], from_l[rows]))
-            layer.dram_plans[(fd, False, op_idx)] = plan
-        items = []
-        for d, share, valid_idx, rep_lens in plan:
-            v = volumes * share
-            items.append(
-                (self.flat_q.add(valid_idx, v, rep_lens), d, v.tolist())
-            )
-        return ("dram", items)
+        return _PendingSelf(seg, ofmap_reqs, row, hop)
 
     # -- resolution ----------------------------------------------------
 
@@ -445,21 +428,16 @@ class _DeferredBlocks:
         flat_out = self.flat_q.flush()
         tree_out = self.tree_q.flush()
         ceval = self.ceval
+        sl_vol = ceval.sl_vol
         for key, ps in self._self_pending:
-            vol = tree_out[ps.seg].copy()
+            row = ps.row
+            vol = row[sl_vol]
+            vol[:] = tree_out[ps.seg]
             for r in ps.ofmap_reqs:
                 vol += flat_out[r]
-            ps.block = LayerTrafficBlock(
-                volumes=vol,
-                dram_read=ps.dram_read if ps.dram_read.any() else None,
-                dram_write=ps.dram_write if ps.dram_write.any() else None,
-                dram_weight_once=(
-                    ps.dram_once if ps.dram_once.any() else None
-                ),
-                weight_tree_hop_bytes=ps.hop,
-                flows=None,
-            )
-            ceval.self_blocks.put(key, ps.block)
+            row[ceval.i_hop] = ps.hop
+            ps.block = row
+            ceval.self_blocks.put(key, row)
         resolved: dict[tuple, tuple] = {}
         for key, ent in self._local.items():
             kind = ent[0]
@@ -474,122 +452,21 @@ class _DeferredBlocks:
             ceval.slice_flows.put(key, ops)
             resolved[key] = ops
         for pb in self._pending:
-            vol, dram_read = ceval._zeros()
+            row = np.zeros(ceval.lanes)
+            vol = row[sl_vol]
+            dram_read = row[ceval.sl_dr]
             for part in pb.parts:
                 ops = part[1] if part[0] == "ready" else resolved[part[1]]
                 for arr, d, v_list in ops:
                     vol += arr
                     if d is not None:
-                        # Sequential scalar fold, as in the serial
-                        # block builder.
+                        # Sequential scalar fold, matching the per-part
+                        # tally loop of the analyzer.
                         t = dram_read[d]
                         for x in v_list:
                             t += x
                         dram_read[d] = t
-            pb.block = LayerTrafficBlock(
-                volumes=vol,
-                dram_read=dram_read if dram_read.any() else None,
-                dram_write=None,
-                dram_weight_once=None,
-                weight_tree_hop_bytes=0.0,
-                flows=None,
-            )
-
-
-# ----------------------------------------------------------------------
-# Candidate staging (shared by population and best-of-K paths)
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _Staged:
-    """One candidate's rebuilt state, pre-fold."""
-
-    slot: int
-    lms: LayerGroupMapping
-    schemes: list
-    recs: list
-    self_blocks: list
-    input_blocks: list
-    ext_places: list
-    #: ``(block row index, block-or-pending)`` overrides vs. the slot's
-    #: current rows.
-    rows: list = field(default_factory=list)
-    first_block: int = 0
-    first_layer: int = 0
-    saved: list = field(default_factory=list)
-
-
-def _stage_candidate(
-    ceval, ctx, bu, cur_schemes, cur_recs, cur_self, cur_input,
-    cur_places, slot, lms, stored_at, pend: _DeferredBlocks,
-) -> _Staged:
-    """Staleness + rebuild of one candidate, mirroring
-    :meth:`GroupSession.propose` (scatters deferred to ``pend``)."""
-    n_layers = len(ctx.lids)
-    schemes = [lms.scheme(name) for name in lms.group.layers]
-    recs = list(cur_recs)
-    self_blocks = list(cur_self)
-    input_blocks = list(cur_input)
-    new_places = cur_places
-    rows: list[tuple] = []
-    changed = set()
-    first_layer = n_layers
-    for i, lid in enumerate(ctx.lids):
-        if schemes[i] is not cur_schemes[i]:
-            changed.add(i)
-            if i < first_layer:
-                first_layer = i
-            recs[i] = ceval.layer_rec(lid, schemes[i], bu)
-            sb = pend.stage_self_block(lid, schemes[i], bu, recs[i])
-            self_blocks[i] = sb
-            rows.append((2 * i + 1, sb))
-    first_block = 2 * first_layer + 1 if first_layer < n_layers \
-        else 2 * n_layers
-    for i in range(n_layers):
-        stale = i in changed
-        if not stale:
-            for p in ctx.producer_pos[i]:
-                if p in changed:
-                    stale = True
-                    break
-        names = ctx.ext_names[i]
-        if names:
-            places = tuple(
-                stored_at.get(nm, INTERLEAVED) for nm in names
-            )
-            if places != cur_places[i]:
-                stale = True
-                if new_places is cur_places:
-                    new_places = list(cur_places)
-                new_places[i] = places
-        if stale:
-            if 2 * i < first_block:
-                first_block = 2 * i
-            pb = pend.stage_input_block(
-                ctx, i, bu, schemes, recs,
-                ceval.deps_for(ctx, i, schemes, stored_at),
-            )
-            input_blocks[i] = pb
-            rows.append((2 * i, pb))
-    return _Staged(
-        slot=slot, lms=lms, schemes=schemes, recs=recs,
-        self_blocks=self_blocks, input_blocks=input_blocks,
-        ext_places=new_places, rows=rows, first_block=first_block,
-        first_layer=first_layer,
-    )
-
-
-def _resolve_staged(staged: list[_Staged]) -> None:
-    """Swap pending placeholders for their materialized blocks."""
-    for st in staged:
-        for k, (j, blk) in enumerate(st.rows):
-            if isinstance(blk, _PendingInput):
-                st.rows[k] = (j, blk.block)
-                st.input_blocks[j // 2] = blk.block
-            elif isinstance(blk, _PendingSelf):
-                st.rows[k] = (j, blk.block)
-                st.self_blocks[j // 2] = blk.block
+            pb.block = row
 
 
 # ----------------------------------------------------------------------
@@ -598,68 +475,53 @@ def _resolve_staged(staged: list[_Staged]) -> None:
 
 
 class _BatchCore:
-    """Lane layout + fold + finalize of one (group, batch) pair.
+    """Fold + finalize of one (group, batch) pair over lane rows.
 
-    A block row is ``[volumes | dram_read | dram_write |
-    dram_weight_once | hop_bytes]``; folding rows column-by-column
-    replays each slot's canonical left fold from zero, and the wide
-    finalize only vectorizes the order-insensitive pieces (elementwise
-    divides, row maxima) while the order-sensitive subset sums run
-    per slot on contiguous row views.
+    Folding rows column-by-column replays each slot's canonical left
+    fold, and the wide finalize only vectorizes the order-insensitive
+    pieces (elementwise divides, row maxima) while the order-sensitive
+    subset sums run per slot on contiguous row views.
     """
 
     def __init__(self, ceval: CompiledEval, group, batch: int):
         self.ceval = ceval
-        self.group = group
-        self.batch = batch
         self.ctx = ceval.group_ctx(group)
         self.bu = group.batch_unit
-        self.n_layers = len(self.ctx.lids)
-        self.nb = 2 * self.n_layers
-        topo = ceval.ev.topo
-        self.n_links = topo.n_links
-        self.n_dram = len(topo.dram_nodes())
-        n_links, n_dram = self.n_links, self.n_dram
-        self.lanes = n_links + 3 * n_dram + 1
-        self.sl_vol = slice(0, n_links)
-        self.sl_dr = slice(n_links, n_links + n_dram)
-        self.sl_dw = slice(n_links + n_dram, n_links + 2 * n_dram)
-        self.sl_do = slice(n_links + 2 * n_dram, n_links + 3 * n_dram)
-        self.i_hop = n_links + 3 * n_dram
+        self.nb = 2 * len(self.ctx.lids)
         self.rounds = math.ceil(batch / group.batch_unit)
         self.depth = len(group)
 
-    def write_row(self, row: np.ndarray, block: LayerTrafficBlock) -> None:
-        row[self.sl_vol] = block.volumes
-        dr = block.dram_read
-        row[self.sl_dr] = 0.0 if dr is None else dr
-        dw = block.dram_write
-        row[self.sl_dw] = 0.0 if dw is None else dw
-        do = block.dram_weight_once
-        row[self.sl_do] = 0.0 if do is None else do
-        row[self.i_hop] = block.weight_tree_hop_bytes
-
     def fold(self, buf: np.ndarray) -> np.ndarray:
-        """Left fold of the ``(nb, S, lanes)`` buffer over blocks."""
-        acc = np.zeros((buf.shape[1], buf.shape[2]))
-        for j in range(self.nb):
-            np.add(acc, buf[j], out=acc)
-        return acc
+        """Left fold of the ``(nb, S, lanes)`` buffer over blocks.
+
+        A reduction over the outermost axis adds whole rows in order
+        (pairwise summation only applies along the contiguous axis) —
+        the same association as the object path's ``np.add.reduce``
+        over its stacked blocks.
+        """
+        return np.add.reduce(buf, axis=0)
 
     def finalize(self, acc: np.ndarray, items) -> list[GroupEval]:
-        """Per-slot :meth:`CompiledEval._finalize`, vectorized where
-        exact.  ``items`` is ``(slot, recs)`` pairs; one GroupEval per
-        item, bit-equal to the serial reduction."""
+        """The delay/energy reduction per slot.  ``items`` is ``(slot,
+        recs)`` pairs; one GroupEval per item.
+
+        Operation for operation (no reassociation) this is the object
+        path's ``stage_times_from_compute`` + ``group_delay`` +
+        ``group_energy_from_intra``, minus the intermediate TrafficMap /
+        GroupTraffic / StageTimes objects.
+        """
         ceval = self.ceval
-        e = ceval.ev.energy
+        e = ceval.energy
         pbw = ceval._per_dram_bw
         noc_idx, d2d_idx = ceval._noc_idx, ceval._d2d_idx
         n_d2d = ceval._n_d2d
-        vol2 = acc[:, self.sl_vol]
+        has_dram = ceval.n_dram > 0
+        vol2 = acc[:, ceval.sl_vol]
+        # serialization_time: most-loaded-link drain time.
         net = (vol2 / ceval._bandwidths).max(axis=1)
-        do2 = acc[:, self.sl_do]
-        rb2 = acc[:, self.sl_dr] + acc[:, self.sl_dw]
-        if self.n_dram:
+        do2 = acc[:, ceval.sl_do]
+        rb2 = acc[:, ceval.sl_dr] + acc[:, ceval.sl_dw]
+        if has_dram:
             rb_max = rb2.max(axis=1)
             do_max = do2.max(axis=1)
         rounds, depth = self.rounds, self.depth
@@ -675,10 +537,11 @@ class _BatchCore:
                 intra_j += rec.energy
                 fits = fits and rec.fits
             network = float(net[slot])
-            dram = float(rb_max[slot]) / pbw if self.n_dram else 0.0
-            prologue = float(do_max[slot]) / pbw if self.n_dram else 0.0
+            dram = float(rb_max[slot]) / pbw if has_dram else 0.0
+            prologue = float(do_max[slot]) / pbw if has_dram else 0.0
             stage = max(compute, network, dram)
             delay = stage * (rounds + depth - 1) + prologue
+            # network_energy + dram_energy, per round.
             vol_row = vol2[slot]
             noc_j = float(vol_row[noc_idx].sum()) * e.e_noc_hop
             d2d_j = e.d2d_energy(
@@ -687,7 +550,7 @@ class _BatchCore:
             rb_row = rb2[slot]
             dram_j = float(rb_row.sum()) * e.e_dram
             once_bytes = float(do2[slot].sum())
-            hop = float(acc[slot, self.i_hop])
+            hop = float(acc[slot, ceval.i_hop])
             energy = EnergyBreakdown(
                 intra=intra_j * rounds,
                 noc=noc_j * rounds + hop * e.e_noc_hop,
@@ -718,77 +581,62 @@ class _BatchCore:
 class BatchProposal:
     """One population step's staged candidates, scored."""
 
-    staged: list[_Staged]
+    slots: list[int]
+    staged: list[StagedCandidate]
     evals: list[GroupEval]
 
 
 class PopulationGroupState:
-    """N walkers' current states of one layer group, fold-ready.
+    """N walkers' accepted states of one layer group, fold-ready.
 
-    Holds each walker's blocks (built through the shared
-    :class:`CompiledEval` caches, so walkers deduplicate work against
-    each other) plus the persistent ``(nb, N, lanes)`` row buffer the
-    batched fold consumes.  :meth:`propose` delta-evaluates one
-    candidate per walker in a single batched pass; accepted candidates
-    keep their rows, rejected ones are rolled back.
+    One :class:`GroupSession` per walker — all building blocks through
+    the shared :class:`CompiledEval` caches, so walkers deduplicate
+    work against each other — plus the persistent ``(nb, N, lanes)``
+    buffer holding every walker's block rows for the batched fold.
+    :meth:`propose` delta-evaluates one candidate per walker in a
+    single batched pass; :meth:`resolve` commits accepted candidates
+    and restores rejected walkers' rows from their sessions.
     """
 
     def __init__(self, ceval: CompiledEval, lmss: list[LayerGroupMapping],
                  batch: int, stored_ats: list[dict]):
         if not lmss:
             raise ValueError("population needs at least one mapping")
-        self.core = _BatchCore(ceval, lmss[0].group, batch)
         self.ceval = ceval
-        core, ctx, bu = self.core, self.core.ctx, self.core.bu
-        n = len(lmss)
-        self.n_slots = n
-        self.lms = list(lmss)
-        self.schemes: list[list] = []
-        self.recs: list[list] = []
-        self.self_blocks: list[list] = []
-        self.input_blocks: list[list] = []
-        self.ext_places: list[list] = []
-        self.buf = np.zeros((core.nb, n, core.lanes))
-        for w, lms in enumerate(lmss):
-            stored_at = stored_ats[w]
-            schemes = [lms.scheme(name) for name in lms.group.layers]
-            recs = [
-                ceval.layer_rec(lid, schemes[i], bu)
-                for i, lid in enumerate(ctx.lids)
-            ]
-            self_blocks = [
-                ceval.self_block(lid, schemes[i], bu, recs[i])
-                for i, lid in enumerate(ctx.lids)
-            ]
-            input_blocks = [
-                ceval.input_block(
-                    ctx, i, bu, schemes, recs,
-                    ceval.deps_for(ctx, i, schemes, stored_at),
-                )
-                for i in range(core.n_layers)
-            ]
-            places = [
-                tuple(stored_at.get(nm, INTERLEAVED) for nm in names)
-                for names in ctx.ext_names
-            ]
-            self.schemes.append(schemes)
-            self.recs.append(recs)
-            self.self_blocks.append(self_blocks)
-            self.input_blocks.append(input_blocks)
-            self.ext_places.append(places)
-            for i in range(core.n_layers):
-                core.write_row(self.buf[2 * i, w], input_blocks[i])
-                core.write_row(self.buf[2 * i + 1, w], self_blocks[i])
-        self.proposed = 0
-        self.committed = 0
+        self.core = core = _BatchCore(ceval, lmss[0].group, batch)
+        self.n_slots = len(lmss)
+        self.sessions = [
+            GroupSession(ceval, core.ctx, core.bu) for _ in lmss
+        ]
+        self.buf = np.zeros((core.nb, self.n_slots, ceval.lanes))
+        # Fresh sessions stage every block: one batched pass builds all
+        # walkers' initial states.
+        cands = list(enumerate(lmss))
+        for (w, _), st in zip(cands, self._stage(cands, stored_ats)):
+            self.sessions[w].commit(st)
 
-    # ------------------------------------------------------------------
+    def _stage(self, cands, stored_ats) -> list[StagedCandidate]:
+        """Stage one candidate per walker, build the rebuilt blocks in
+        one flush and write them over the walkers' buffer rows."""
+        pend = _DeferredBlocks(self.ceval)
+        sessions = self.sessions
+        staged = [
+            sessions[w].propose(lms, stored_ats[w], pend)
+            for w, lms in cands
+        ]
+        pend.flush()
+        buf = self.buf
+        for (w, _), st in zip(cands, staged):
+            st.resolve()
+            for j, row in st.rows:
+                buf[j, w] = row
+        return staged
 
     def evaluate_current(self) -> list[GroupEval]:
         """Batched full evaluation of every walker's current state."""
         acc = self.core.fold(self.buf)
         return self.core.finalize(
-            acc, [(w, self.recs[w]) for w in range(self.n_slots)]
+            acc, [(w, s.recs) for w, s in enumerate(self.sessions)]
         )
 
     def propose(self, cands: list[tuple[int, LayerGroupMapping]],
@@ -799,46 +647,27 @@ class PopulationGroupState:
         most once, since candidate rows are written in place over the
         walker's own buffer rows.  Follow with :meth:`resolve`.
         """
-        core, ceval, ctx, bu = self.core, self.ceval, self.core.ctx, \
-            self.core.bu
-        pend = _DeferredBlocks(ceval)
-        staged = [
-            _stage_candidate(
-                ceval, ctx, bu, self.schemes[w], self.recs[w],
-                self.self_blocks[w], self.input_blocks[w],
-                self.ext_places[w], w, lms, stored_ats[w], pend,
-            )
-            for w, lms in cands
-        ]
-        pend.flush()
-        _resolve_staged(staged)
-        buf = self.buf
-        for st in staged:
-            for j, blk in st.rows:
-                row = buf[j, st.slot]
-                st.saved.append((j, row.copy()))
-                core.write_row(row, blk)
-        acc = core.fold(buf)
-        evals = core.finalize(acc, [(st.slot, st.recs) for st in staged])
-        self.proposed += len(staged)
-        return BatchProposal(staged, evals)
+        staged = self._stage(cands, stored_ats)
+        slots = [w for w, _ in cands]
+        acc = self.core.fold(self.buf)
+        evals = self.core.finalize(
+            acc, [(w, st.recs) for w, st in zip(slots, staged)]
+        )
+        return BatchProposal(slots, staged, evals)
 
     def resolve(self, bp: BatchProposal, accepted: list[bool]) -> None:
-        """Adopt accepted candidates, roll rejected rows back."""
+        """Adopt accepted candidates; rewrite rejected walkers' rows
+        from their (unchanged) accepted blocks."""
         buf = self.buf
-        for st, ok in zip(bp.staged, accepted):
-            w = st.slot
+        for w, st, ok in zip(bp.slots, bp.staged, accepted):
+            session = self.sessions[w]
             if ok:
-                self.committed += 1
-                self.lms[w] = st.lms
-                self.schemes[w] = st.schemes
-                self.recs[w] = st.recs
-                self.self_blocks[w] = st.self_blocks
-                self.input_blocks[w] = st.input_blocks
-                self.ext_places[w] = st.ext_places
-            else:
-                for j, old_row in st.saved:
-                    buf[j, w] = old_row
+                session.commit(st)
+                continue
+            for j, _ in st.rows:
+                blocks = (session.input_blocks if j % 2 == 0
+                          else session.self_blocks)
+                buf[j, w] = blocks[j // 2]
 
 
 def evaluate_population(
@@ -850,67 +679,11 @@ def evaluate_population(
     """Stateless batched evaluation of N mappings of one group.
 
     ``stored_at`` is either one dict shared by every slot or a
-    per-slot sequence of dicts.  Element-wise bit-identical to calling
-    :meth:`CompiledEval.evaluate_group` per mapping — the identity
-    surface the batch tests pin.
+    per-slot sequence of dicts.  Element-wise bit-identical to
+    evaluating each mapping alone (the N=1 call) and to the object
+    path — the identity surface the batch tests pin.
     """
     if stored_at is None or isinstance(stored_at, dict):
         stored_at = [stored_at or {}] * len(lmss)
     state = PopulationGroupState(ceval, lmss, batch, list(stored_at))
     return state.evaluate_current()
-
-
-# ----------------------------------------------------------------------
-# Best-of-K scoring against a GroupSession (population = 1 path)
-# ----------------------------------------------------------------------
-
-
-def score_session_batch(
-    session: GroupSession,
-    candidates: list[LayerGroupMapping],
-    stored_at: dict[str, int],
-) -> list[Proposal]:
-    """Score K candidates against one session state in one batch.
-
-    Replaces the serial ``proposal_batch`` scoring loop: staleness and
-    block rebuilds run per candidate (deferred scatters batched), then
-    one stacked fold + finalize prices all K.  Costs are bit-identical
-    to ``session.propose`` per candidate, so the SA trajectory — and
-    therefore campaign digests — are unchanged.
-    """
-    ceval, ctx, bu = session.ceval, session.ctx, session.bu
-    core = getattr(session, "_batch_core", None)
-    if core is None or core.batch != session.batch:
-        core = _BatchCore(ceval, session.group, session.batch)
-        session._batch_core = core
-    pend = _DeferredBlocks(ceval)
-    staged = [
-        _stage_candidate(
-            ceval, ctx, bu, session.schemes, session.recs,
-            session.self_blocks, session.input_blocks,
-            session.ext_places, s, lms, stored_at, pend,
-        )
-        for s, lms in enumerate(candidates)
-    ]
-    pend.flush()
-    _resolve_staged(staged)
-    base = np.zeros((core.nb, core.lanes))
-    for j in range(core.nb):
-        core.write_row(base[j], session._block(j))
-    sbuf = np.empty((core.nb, len(staged), core.lanes))
-    sbuf[:] = base[:, None, :]
-    for st in staged:
-        for j, blk in st.rows:
-            core.write_row(sbuf[j, st.slot], blk)
-    acc = core.fold(sbuf)
-    evals = core.finalize(acc, [(st.slot, st.recs) for st in staged])
-    session.proposed += len(staged)
-    return [
-        Proposal(
-            result=ev, schemes=st.schemes, recs=st.recs,
-            self_blocks=st.self_blocks, input_blocks=st.input_blocks,
-            ext_places=st.ext_places, first_block=st.first_block,
-            first_layer=st.first_layer,
-        )
-        for st, ev in zip(staged, evals)
-    ]

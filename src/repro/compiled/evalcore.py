@@ -15,41 +15,36 @@ tables.  Lowering is split by what actually determines each piece:
   keyed by the two partitions; only the same-core mask and the final
   scatter depend on core assignments.
 
-Traffic is accumulated with the same scatter-add kernels the object
-path uses (:func:`~repro.evalmodel.traffic_analysis.core_scatter_batch`
-/ :func:`~repro.evalmodel.traffic_analysis.dram_scatter_batch`) and the
-delay/energy reduction reuses the object path's stage-time and energy
-functions, so compiled results are **bit-identical** to the object path
-(asserted over the whole model zoo in
-``tests/test_compiled_identity.py``).  The core is fabric-agnostic: it
-consumes only the :class:`~repro.fabric.Topology` surface of
-``evaluator.topo`` (padded route tables, link arrays, multicast
-trees), so every registered interconnect — mesh, folded torus,
-concentrated mesh, ring — runs through the same compiled hot path.
+Traffic blocks are built from these records by the deferred staging in
+:mod:`repro.compiled.batch`, with the same scatter-add arithmetic the
+object path uses, and folded + finalized there by the one batched core
+— for a single mapping too (:meth:`CompiledEval.evaluate_group` is its
+N=1 call).  Results are **bit-identical** to the object path (asserted
+over the whole model zoo in ``tests/test_compiled_identity.py``).  The
+core is fabric-agnostic: it consumes only the
+:class:`~repro.fabric.Topology` surface (padded route tables, link
+arrays, multicast trees), so every registered interconnect — mesh,
+folded torus, concentrated mesh, ring — runs through the same path.
 
-On top of the stateless path, :class:`GroupSession` adds delta
-evaluation for the SA loop: a proposal recomputes only the per-layer
-blocks an operator move actually touched (the mutated layers' records
-and self blocks, plus the input blocks of those layers, their in-group
-consumers and any layer whose cross-group placement changed) and
-re-merges the cached remainder in the canonical order — the merge is
-the same reduction over the same block arrays, so delta and full
-evaluation agree bit for bit.
+:class:`GroupSession` is one SA walker's accepted state of one layer
+group.  A proposal rebuilds only the per-layer blocks an operator move
+actually touched (the mutated layers' records and self blocks, plus the
+input blocks of those layers, their in-group consumers and any layer
+whose cross-group placement changed); every other block is the
+accepted state's own, so delta and full evaluation agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.encoding import INTERLEAVED, LayerGroupMapping, MappingScheme
 from repro.errors import InvalidMappingError
-from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval
+from repro.evalmodel.breakdown import GroupEval
 from repro.evalmodel.delay import per_dram_bandwidth
 from repro.evalmodel.traffic_analysis import (
-    LayerTrafficBlock,
     _conv_needs,
     _dram_targets,
     _matmul_needs,
@@ -58,7 +53,7 @@ from repro.intracore.dataflow import CoreWorkload
 from repro.perf import LruDict
 from repro.workloads.layer import LayerType
 
-from repro.compiled.graph import CompiledGraph
+from repro.compiled.graph import CompiledGraph, as_index_table
 
 
 @dataclass
@@ -91,10 +86,11 @@ class PartRec:
 class CompiledLayer:
     """A partition record bound to one scheme's core assignment.
 
-    ``dram_plans`` lazily memoizes per-(FD selector, direction, input)
-    scatter plans: the padded route indices and repeat counts of the
-    cores' DRAM routes, so repeated scatters skip the route-table
-    gather and only pay the bincount.
+    ``dram_plans`` lazily memoizes :meth:`CompiledEval.dram_plan` per
+    ``(FD selector, input index or None for the ofmap write)``: the
+    padded route indices and repeat counts of the cores' DRAM routes,
+    so repeated scatters skip the route-table gather and only pay the
+    bincount.
     """
 
     rec: PartRec
@@ -145,47 +141,52 @@ class _GroupCtx:
         ]
 
 
-@dataclass
-class Proposal:
-    """A delta-evaluated candidate, ready to commit into its session."""
-
-    result: GroupEval
-    schemes: list[MappingScheme]
-    recs: list[CompiledLayer]
-    self_blocks: list[LayerTrafficBlock]
-    input_blocks: list[LayerTrafficBlock]
-    ext_places: list[tuple]
-    #: First block / layer index the move touched — the session's
-    #: prefix folds are valid up to (exclusive) these on commit.
-    first_block: int
-    first_layer: int
-
-
 class CompiledEval:
     """Array-native evaluation of one graph on one evaluator.
 
     All caches are LRU-bounded and keyed by content (layer id,
     partition or scheme, batch unit, dependency schemes/placements), so
-    the compiled path is a pure memoized function of its inputs —
-    exactly like the object path's cache layers, minus the object
-    traffic.
+    the compiled path is a pure memoized function of its inputs.
+
+    Only the evaluator's topology, architecture, energy model and
+    intra-core engine are kept — never the evaluator itself, which owns
+    this object: without the back-reference both die by refcount.
     """
 
     def __init__(self, evaluator, cgraph: CompiledGraph):
-        self.ev = evaluator
+        self.topo = topo = evaluator.topo
+        self.arch = evaluator.arch
+        self.energy = evaluator.energy
+        self.intracore = evaluator.intracore
         self.cgraph = cgraph
         self.parts = LruDict(32768, name="compiled.parts")
         self.layers = LruDict(32768, name="compiled.layers")
         self.self_blocks = LruDict(32768, name="compiled.self")
-        self.input_blocks = LruDict(16384, name="compiled.inputs")
         self.pair_geom = LruDict(32768, name="compiled.pairs")
         self.slice_flows = LruDict(16384, name="compiled.slices")
         self._trees = LruDict(65536)
         self._group_ctx: dict[tuple[str, ...], _GroupCtx] = {}
-        self._empty_block: LayerTrafficBlock | None = None
+        # A traffic block is one row of ``lanes`` floats: per-link
+        # volumes, per-DRAM reads, writes and once-per-inference weight
+        # loads, then the weight-tree hop bytes.  All-zero parts are
+        # plain zeros (folding +0.0 is exact for these non-negative
+        # aggregates).
+        self.n_links = n_links = topo.n_links
+        self.n_dram = n_dram = len(topo.dram_nodes())
+        self.lanes = n_links + 3 * n_dram + 1
+        self.sl_vol = slice(0, n_links)
+        self.sl_dr = slice(n_links, n_links + n_dram)
+        self.sl_dw = slice(n_links + n_dram, n_links + 2 * n_dram)
+        self.sl_do = slice(n_links + 2 * n_dram, n_links + 3 * n_dram)
+        self.i_hop = n_links + 3 * n_dram
+        table, self.core_lens = topo.core_route_table()
+        self.core_table = as_index_table(table)
+        #: The shared all-zero block of weightless layers with
+        #: implicitly managed ofmaps (MATMUL, VECTOR, mid-group
+        #: POOL/ELTWISE).
+        self.empty_block = np.zeros(self.lanes)
         # Reduction constants hoisted out of the per-evaluation
         # finalize step.
-        topo = evaluator.topo
         self._bandwidths = topo.link_arrays()[0]
         self._noc_idx, self._d2d_idx, _ = topo.link_index_arrays()
         self._per_dram_bw = per_dram_bandwidth(evaluator.arch)
@@ -284,7 +285,7 @@ class CompiledEval:
             [ext[:, 2], ext[:, 3], ext[:, 0], ext[:, 1], c, grp], axis=1
         ).tolist()
 
-        schedule = self.ev.intracore.schedule
+        schedule = self.intracore.schedule
         results = []
         # Near-equal splits yield few distinct part shapes; dedupe
         # locally so the engine's memo is probed once per shape.
@@ -430,7 +431,7 @@ class CompiledEval:
         return got
 
     # ------------------------------------------------------------------
-    # Traffic blocks
+    # Block inputs (the staging in repro.compiled.batch builds blocks)
     # ------------------------------------------------------------------
 
     def deps_for(self, ctx: _GroupCtx, i: int, schemes, stored_at) -> tuple:
@@ -451,30 +452,6 @@ class CompiledEval:
                 out.append(None)
         return tuple(out)
 
-    def input_block(
-        self, ctx: _GroupCtx, i: int, batch_unit: int, schemes, recs,
-        deps: tuple,
-    ) -> LayerTrafficBlock:
-        # The block depends on the layer's partition, core assignment
-        # and ifmap selector — not its weight/ofmap FDs — and on each
-        # producer's partition + core assignment (or placement).
-        s = schemes[i]
-        narrowed = tuple(
-            (d.part, d.core_group) if isinstance(d, MappingScheme) else d
-            for d in deps
-        )
-        key = (
-            ctx.lids[i], s.part, s.core_group, s.fd.ifmap, batch_unit,
-            narrowed,
-        )
-        block = self.input_blocks.get_lru(key)
-        if block is None:
-            block = self._build_input_block(
-                ctx, i, batch_unit, schemes, recs, deps
-            )
-            self.input_blocks.put(key, block)
-        return block
-
     def _tree_links(self, dram, cores: tuple[int, ...]) -> tuple:
         """``(link index array, size)`` of the dram -> cores multicast
         tree.
@@ -483,25 +460,17 @@ class CompiledEval:
         hashing in the hot loop); the tree is the union of the
         deterministic per-core routes (:mod:`repro.noc.multicast`
         semantics) gathered from the padded route tables, so both
-        paths agree on the link set.
-        The links are cached as an int64 array: scatter targets are
-        unique within a tree, so fancy-index adds through the array are
-        value-identical to the old list form, and the batched self-block
-        builder can concatenate them without per-use conversion.
+        paths agree on the link set.  Scatter targets are unique within
+        a tree, so adds through the int64 link array are value-identical
+        to per-link adds.
         """
         key = (dram, cores)
         got = self._trees.get_lru(key)
         if got is None:
-            topo = self.ev.topo
-            # The tree is the union of the deterministic per-core
-            # routes (see noc.multicast); the padded from-DRAM route
-            # table holds exactly those routes, so one gather + unique
-            # replaces the per-destination route walk.
-            n_dram = len(topo.dram_nodes())
-            from_d = topo.dram_route_tables()[2]
+            from_d = self.topo.dram_route_tables()[2]
             rows = (
                 np.fromiter(cores, dtype=np.int64, count=len(cores))
-                * n_dram + dram[1]
+                * self.n_dram + dram[1]
             )
             padded = from_d[rows]
             links = np.unique(padded[padded >= 0])
@@ -509,337 +478,36 @@ class CompiledEval:
             self._trees.put(key, got)
         return got
 
-    def _dram_scatter_planned(
-        self, layer: CompiledLayer, plan_key, fd: int, sel,
-        volumes, vol_slots, tally, write: bool,
-    ) -> None:
-        """Planned variant of :func:`dram_scatter_batch`.
+    def dram_plan(self, layer: CompiledLayer, fd: int,
+                  op_idx: int | None = None) -> list:
+        """The route gather of one core<->DRAM scatter, per FD target.
 
-        The route-table gather for a fixed core subset is memoized on
-        the layer record (``sel`` — ``None`` for all parts, else a part
-        index array — is only consulted on a plan miss); the arithmetic
-        (bincount over the same index array with weights in the same
-        order, sequential tally fold) is identical to the shared
-        kernel, so results match bit for bit.
+        ``op_idx=None`` plans the ofmap write from every part; an input
+        index plans that input's DRAM read into the parts that need it
+        (callers check :meth:`_dram_in` first).  Entries are ``(dram
+        index, share, valid link indices, per-part repeat counts)``:
+        a scatter is then one bincount over the same index array with
+        weights in the same order as :func:`dram_scatter_batch`, so the
+        memoized plan changes no bits.
         """
-        topo = self.ev.topo
-        plan = layer.dram_plans.get(plan_key)
+        key = (fd, op_idx)
+        plan = layer.dram_plans.get(key)
         if plan is None:
-            cores_sel = layer.cores if sel is None else layer.cores[sel]
-            n_dram = len(topo.dram_nodes())
+            topo, n_dram = self.topo, self.n_dram
             to_d, to_l, from_d, from_l = topo.dram_route_tables()
-            table, lens = (to_d, to_l) if write else (from_d, from_l)
+            if op_idx is None:
+                cores, table, lens = layer.cores, to_d, to_l
+            else:
+                idx = self._dram_in(layer.rec, op_idx)[0]
+                cores, table, lens = layer.cores[idx], from_d, from_l
             plan = []
             for dram, share in _dram_targets(topo, fd):
                 d = dram[1]
-                rows = cores_sel * n_dram + d
+                rows = cores * n_dram + d
                 padded = table[rows].ravel()
                 plan.append((d, share, padded[padded >= 0], lens[rows]))
-            layer.dram_plans[plan_key] = plan
-        n_slots = len(vol_slots)
-        for d, share, valid_idx, rep_lens in plan:
-            v = volumes * share
-            vol_slots += np.bincount(
-                valid_idx, weights=np.repeat(v, rep_lens),
-                minlength=n_slots,
-            )
-            t = tally[d]
-            for x in v.tolist():
-                t += x
-            tally[d] = t
-
-    def _zeros(self):
-        topo = self.ev.topo
-        n_dram = len(topo.dram_nodes())
-        return np.zeros(topo.n_links), np.zeros(n_dram)
-
-    def _ingroup_slice_ops(self, cons: CompiledLayer, op_idx: int,
-                           prod: CompiledLayer, c_part, p_part,
-                           batch_unit: int) -> tuple:
-        """Link adds of one in-group input slice, as replayable ops."""
-        rec = cons.rec
-        geom = self.pair_geometry(
-            rec, op_idx, prod.rec, c_part, p_part, batch_unit
-        )
-        if geom is None:
-            return ()
-        di0, sj0, bytes0 = geom
-        # Same-core data stays inside the core's GLB.
-        src, dst = prod.cores[sj0], cons.cores[di0]
-        mask = src != dst
-        if not mask.any():
-            return ()
-        di = di0[mask]
-        volumes = bytes0[mask] * rec.if_fetches[di]
-        # The bincount below is exactly what core_scatter_batch adds
-        # into its accumulator; caching the array and adding it later
-        # is the same 0 + bincount fold.
-        topo = self.ev.topo
-        table, lens = topo.core_route_table()
-        rows = src[mask] * topo.arch.n_cores + dst[mask]
-        padded = table[rows].ravel()
-        arr = np.bincount(
-            padded[padded >= 0],
-            weights=np.repeat(volumes, lens[rows]),
-            minlength=topo.n_links,
-        )
-        return ((arr, None, None),)
-
-    def _dram_slice_ops(self, layer: CompiledLayer, op_idx: int,
-                        fd: int) -> tuple:
-        """Link + DRAM-tally adds of one DRAM-read slice, per target."""
-        pre = self._dram_in(layer.rec, op_idx)
-        if pre is None:
-            return ()
-        idx, volumes = pre
-        topo = self.ev.topo
-        plan = layer.dram_plans.get((fd, False, op_idx))
-        if plan is None:
-            cores_sel = layer.cores[idx]
-            n_dram = len(topo.dram_nodes())
-            _, _, from_d, from_l = topo.dram_route_tables()
-            plan = []
-            for dram, share in _dram_targets(topo, fd):
-                d = dram[1]
-                rows = cores_sel * n_dram + d
-                padded = from_d[rows].ravel()
-                plan.append((d, share, padded[padded >= 0], from_l[rows]))
-            layer.dram_plans[(fd, False, op_idx)] = plan
-        n_links = topo.n_links
-        ops = []
-        for d, share, valid_idx, rep_lens in plan:
-            v = volumes * share
-            arr = np.bincount(
-                valid_idx, weights=np.repeat(v, rep_lens),
-                minlength=n_links,
-            )
-            ops.append((arr, d, v.tolist()))
-        return tuple(ops)
-
-    def _build_input_block(
-        self, ctx, i, batch_unit, schemes, recs, deps
-    ) -> LayerTrafficBlock:
-        """Ifmap flows of one layer (mirrors the analyzer's
-        ``_layer_inputs`` fast path over compiled records).
-
-        Each input slice's contribution is cached as the exact
-        sequence of vector adds the analyzer would perform and
-        replayed in slice order, so a move that changes one producer
-        recomputes only that producer's slice — the replayed fold is
-        bit-identical to recomputing the whole block.
-        """
-        flows = self.slice_flows
-        layer = recs[i]
-        s = schemes[i]
-        vol, dram_read = self._zeros()
-        for desc, dep in zip(ctx.inputs[i], deps):
-            op_idx, plid, group_pos, _ = desc
-            if group_pos is not None:
-                p = schemes[group_pos]
-                key = (ctx.lids[i], op_idx, s.part, s.core_group,
-                       p.part, p.core_group, batch_unit)
-                ops = flows.get_lru(key)
-                if ops is None:
-                    ops = self._ingroup_slice_ops(
-                        layer, op_idx, recs[group_pos], s.part, p.part,
-                        batch_unit,
-                    )
-                    flows.put(key, ops)
-            else:
-                fd = s.fd.ifmap if plid < 0 else dep
-                key = (ctx.lids[i], op_idx, s.part, s.core_group, fd,
-                       batch_unit)
-                ops = flows.get_lru(key)
-                if ops is None:
-                    ops = self._dram_slice_ops(layer, op_idx, fd)
-                    flows.put(key, ops)
-            for arr, d, v_list in ops:
-                vol += arr
-                if d is not None:
-                    # Sequential scalar fold, matching the per-part
-                    # tally loop of the uncached path.
-                    t = dram_read[d]
-                    for x in v_list:
-                        t += x
-                    dram_read[d] = t
-        return LayerTrafficBlock(
-            volumes=vol,
-            dram_read=dram_read if dram_read.any() else None,
-            dram_write=None,
-            dram_weight_once=None,
-            weight_tree_hop_bytes=0.0,
-            flows=None,
-        )
-
-    def self_block(
-        self, lid: int, scheme: MappingScheme, batch_unit: int,
-        layer: CompiledLayer,
-    ) -> LayerTrafficBlock:
-        # Weightless layers with implicitly managed ofmaps (MATMUL,
-        # VECTOR, mid-group POOL/ELTWISE) contribute nothing here; one
-        # shared all-zero block serves them all.
-        if layer.rec.weight_slices is None and scheme.fd.ofmap < 0:
-            empty = self._empty_block
-            if empty is None:
-                empty = LayerTrafficBlock(
-                    np.zeros(self.ev.topo.n_links), None, None, None,
-                    0.0, None,
-                )
-                self._empty_block = empty
-            return empty
-        # Weight + ofmap flows depend on the partition, the core
-        # assignment and those two FD selectors only.
-        key = (
-            lid, scheme.part, scheme.core_group,
-            scheme.fd.weight, scheme.fd.ofmap, batch_unit,
-        )
-        block = self.self_blocks.get_lru(key)
-        if block is None:
-            block = self._build_self_block(scheme, layer)
-            self.self_blocks.put(key, block)
-        return block
-
-    def _build_self_block(self, scheme, layer) -> LayerTrafficBlock:
-        """Weight + ofmap flows — a function of the layer's own scheme
-        (mirrors ``_layer_weights`` + ``_layer_outputs``)."""
-        topo = self.ev.topo
-        rec = layer.rec
-        vol, dram_read = self._zeros()
-        dram_write = np.zeros_like(dram_read)
-        dram_once = np.zeros_like(dram_read)
-        hop_bytes = 0.0
-        if rec.weight_slices is not None:
-            fd = scheme.fd.weight
-            cores_list = layer.cores_list
-            glb_half = self.ev.arch.glb_bytes / 2
-            for volume, kk, pk in rec.weight_slices:
-                dsts = tuple(cores_list[kk::pk])
-                resident = volume <= glb_half
-                for dram, share in _dram_targets(topo, fd):
-                    tree_links, tree_size = self._tree_links(dram, dsts)
-                    v = volume * share
-                    if resident:
-                        # Loaded once per inference (prologue).
-                        dram_once[dram[1]] += v
-                        hop_bytes += v * tree_size
-                    else:
-                        vol[tree_links] += v
-                        dram_read[dram[1]] += v
-        fd = scheme.fd.ofmap
-        if fd >= 0:
-            self._dram_scatter_planned(
-                layer, (fd, True, None), fd, None,
-                rec.out_volumes, vol, dram_write, write=True,
-            )
-        return LayerTrafficBlock(
-            volumes=vol,
-            dram_read=dram_read if dram_read.any() else None,
-            dram_write=dram_write if dram_write.any() else None,
-            dram_weight_once=dram_once if dram_once.any() else None,
-            weight_tree_hop_bytes=hop_bytes,
-            flows=None,
-        )
-
-    # ------------------------------------------------------------------
-    # Assembly (the delay/energy reduction)
-    # ------------------------------------------------------------------
-
-    def _finalize(
-        self, group, batch, vol, dram_read, dram_write, dram_once,
-        hop_bytes, compute, intra_j, fits,
-    ) -> GroupEval:
-        """Delay/energy reduction over the folded group aggregates.
-
-        The inputs are left folds (from zero, canonical block order) of
-        the per-layer blocks — exactly what the object path's analyzer
-        accumulates.  The arithmetic below inlines
-        ``stage_times_from_compute`` + ``group_delay`` +
-        ``group_energy_from_intra`` operation for operation (no
-        reassociation), dropping only the intermediate TrafficMap /
-        GroupTraffic / StageTimes objects; the model-zoo identity tests
-        pin the equivalence.
-        """
-        ev = self.ev
-        e = ev.energy
-        # serialization_time: most-loaded-link drain time.
-        network = float(np.max(vol / self._bandwidths))
-        round_bytes = dram_read + dram_write
-        dram = (
-            float(np.max(round_bytes)) / self._per_dram_bw
-            if len(round_bytes) else 0.0
-        )
-        prologue = (
-            float(np.max(dram_once)) / self._per_dram_bw
-            if len(dram_once) else 0.0
-        )
-        stage = max(compute, network, dram)
-        rounds = math.ceil(batch / group.batch_unit)
-        depth = len(group)
-        delay = stage * (rounds + depth - 1) + prologue
-        # network_energy + dram_energy, per round.
-        noc_j = float(vol[self._noc_idx].sum()) * e.e_noc_hop
-        d2d_j = e.d2d_energy(
-            float(vol[self._d2d_idx].sum()), self._n_d2d, stage
-        )
-        dram_j = float(round_bytes.sum()) * e.e_dram
-        once_bytes = float(dram_once.sum())
-        energy = EnergyBreakdown(
-            intra=intra_j * rounds,
-            noc=noc_j * rounds + hop_bytes * e.e_noc_hop,
-            d2d=d2d_j * rounds,
-            dram=dram_j * rounds + once_bytes * e.e_dram,
-        )
-        return GroupEval(
-            delay=delay,
-            energy=energy,
-            stage_time=stage,
-            rounds=rounds,
-            compute_time=compute,
-            network_time=network,
-            dram_time=dram,
-            traffic=None,
-            dram_round_bytes=tuple(round_bytes),
-            fits=fits,
-        )
-
-    def _assemble(
-        self, group, recs, input_blocks, self_blocks, batch
-    ) -> GroupEval:
-        n_dram = len(self.ev.topo.dram_nodes())
-        dram_read = np.zeros(n_dram)
-        dram_write = np.zeros(n_dram)
-        dram_once = np.zeros(n_dram)
-        hop_bytes = 0.0
-        # Canonical block order: (inputs, self) per layer — the same
-        # stacked fold the object-path analyzer runs, so per-link sums
-        # associate identically.
-        blocks = []
-        compute = 0.0
-        intra_j = 0.0
-        fits = True
-        for i, layer in enumerate(recs):
-            blocks.append(input_blocks[i])
-            blocks.append(self_blocks[i])
-            rec = layer.rec
-            if rec.compute > compute:
-                compute = rec.compute
-            intra_j += rec.energy
-            fits = fits and rec.fits
-        vol = np.add.reduce(
-            np.stack([b.volumes for b in blocks]), axis=0
-        )
-        for block in blocks:
-            if block.dram_read is not None:
-                dram_read += block.dram_read
-            if block.dram_write is not None:
-                dram_write += block.dram_write
-            if block.dram_weight_once is not None:
-                dram_once += block.dram_weight_once
-            hop_bytes += block.weight_tree_hop_bytes
-        return self._finalize(
-            group, batch, vol, dram_read, dram_write, dram_once,
-            hop_bytes, compute, intra_j, fits,
-        )
+            layer.dram_plans[key] = plan
+        return plan
 
     def evaluate_group(
         self,
@@ -847,155 +515,84 @@ class CompiledEval:
         batch: int,
         stored_at: dict[str, int] | None = None,
     ) -> GroupEval:
-        """Stateless full evaluation over the compiled tables."""
-        stored_at = stored_at or {}
-        group = lms.group
-        ctx = self.group_ctx(group)
-        bu = group.batch_unit
-        schemes = [lms.scheme(name) for name in group.layers]
-        recs = [
-            self.layer_rec(lid, schemes[i], bu)
-            for i, lid in enumerate(ctx.lids)
-        ]
-        self_blocks = [
-            self.self_block(lid, schemes[i], bu, recs[i])
-            for i, lid in enumerate(ctx.lids)
-        ]
-        input_blocks = [
-            self.input_block(
-                ctx, i, bu, schemes, recs,
-                self.deps_for(ctx, i, schemes, stored_at),
-            )
-            for i in range(len(ctx.lids))
-        ]
-        return self._assemble(group, recs, input_blocks, self_blocks, batch)
+        """Stateless full evaluation: the batched core's N=1 call."""
+        from repro.compiled.batch import evaluate_population
 
-    def session(
-        self, lms: LayerGroupMapping, batch: int,
-        stored_at: dict[str, int],
-    ) -> "GroupSession":
-        return GroupSession(self, lms, batch, stored_at)
+        return evaluate_population(self, [lms], batch, stored_at)[0]
+
+
+@dataclass
+class StagedCandidate:
+    """A candidate's rebuilt blocks, staged against one session.
+
+    ``rows`` lists the ``(block row, block)`` pairs that differ from
+    the session's accepted state, in the canonical block order
+    (inputs, self per layer: row ``2i`` / ``2i + 1``).  Until the
+    staging flushes, rebuilt blocks are placeholders carrying the
+    finished block as ``.block``; :meth:`resolve` swaps them in.
+    """
+
+    schemes: list
+    recs: list
+    self_blocks: list
+    input_blocks: list
+    ext_places: list
+    rows: list
+
+    def resolve(self) -> None:
+        for k, (j, blk) in enumerate(self.rows):
+            if type(blk) is not np.ndarray:
+                blk = blk.block
+                self.rows[k] = (j, blk)
+                blocks = self.input_blocks if j % 2 == 0 else self.self_blocks
+                blocks[j // 2] = blk
 
 
 class GroupSession:
-    """Delta evaluation of SA moves against one layer group's state.
+    """One walker's accepted state of one layer group.
 
-    The session pins the blocks of the current (accepted) state plus
-    *prefix folds* of the canonical merge (left folds over the block
-    order, which is exactly how ``np.add.reduce`` associates — asserted
-    by the identity tests); :meth:`propose` rebuilds only what a
-    candidate actually changes, restarts the fold from the last valid
-    prefix and finalizes, :meth:`commit` adopts an accepted proposal
-    and repairs the prefixes from the first touched block.  All five SA
-    operators are covered by the same invalidation rule: a block is
-    recomputed iff its own scheme or any of its dependencies (producer
-    schemes, cross-group placements) changed — checked by identity, so
-    unchanged layers cost a pointer compare, not a hash.
+    :meth:`propose` stages a candidate LMS: a block is rebuilt iff its
+    own scheme or any of its dependencies (producer schemes,
+    cross-group placements) changed — checked by identity, so unchanged
+    layers cost a pointer compare, not a hash.  All five SA operators
+    are covered by that one rule, and a fresh session (no accepted
+    state yet) stages every block through it.  :meth:`commit` adopts a
+    staged candidate.
     """
 
-    def __init__(self, ceval: CompiledEval, lms: LayerGroupMapping,
-                 batch: int, stored_at: dict[str, int]):
+    def __init__(self, ceval: CompiledEval, ctx: _GroupCtx, bu: int):
         self.ceval = ceval
-        self.group = lms.group
-        self.batch = batch
-        self.ctx = ceval.group_ctx(lms.group)
-        self.bu = lms.group.batch_unit
-        self.schemes = [lms.scheme(name) for name in lms.group.layers]
-        ctx, bu = self.ctx, self.bu
-        self.recs = [
-            ceval.layer_rec(lid, self.schemes[i], bu)
-            for i, lid in enumerate(ctx.lids)
-        ]
-        self.self_blocks = [
-            ceval.self_block(lid, self.schemes[i], bu, self.recs[i])
-            for i, lid in enumerate(ctx.lids)
-        ]
-        self.ext_places = [
-            tuple(stored_at.get(nm, INTERLEAVED) for nm in names)
-            for names in ctx.ext_names
-        ]
-        # Sessions build input blocks directly (no block-cache keying):
-        # staleness is tracked by identity, and rebuilds replay the
-        # cached per-slice contributions anyway.
-        self.input_blocks = [
-            ceval._build_input_block(
-                ctx, i, bu, self.schemes, self.recs,
-                ceval.deps_for(ctx, i, self.schemes, stored_at))
-            for i in range(len(ctx.lids))
-        ]
-        n_layers = len(ctx.lids)
-        topo = ceval.ev.topo
-        n_dram = len(topo.dram_nodes())
-        nb = 2 * n_layers
-        # Prefix folds over the canonical block order (row j holds the
-        # fold of blocks[0:j]) and over the per-layer rec aggregates.
-        self._vol_pre = np.zeros((nb + 1, topo.n_links))
-        self._dr_pre = np.zeros((nb + 1, n_dram))
-        self._dw_pre = np.zeros((nb + 1, n_dram))
-        self._do_pre = np.zeros((nb + 1, n_dram))
-        self._hop_pre = [0.0] * (nb + 1)
-        self._cmp_pre = [0.0] * (n_layers + 1)
-        self._int_pre = [0.0] * (n_layers + 1)
-        self._fit_pre = [True] * (n_layers + 1)
-        # Local delta-evaluation tallies; the SA controller folds them
-        # into PERF once per run (the ``sa.delta_eval`` pattern), so
-        # the per-move cost stays two integer adds.
-        self.proposed = 0
-        self.committed = 0
-        self._refold(0, 0)
+        self.ctx = ctx
+        self.bu = bu
+        n = len(ctx.lids)
+        self.schemes: list = [None] * n
+        self.recs: list = [None] * n
+        self.self_blocks: list = [None] * n
+        self.input_blocks: list = [None] * n
+        self.ext_places: list = [None] * n
 
-    def _block(self, j: int) -> LayerTrafficBlock:
-        """Block ``j`` of the canonical order (inputs, self per layer)."""
-        blocks = self.input_blocks if j % 2 == 0 else self.self_blocks
-        return blocks[j // 2]
-
-    def _refold(self, first_block: int, first_layer: int) -> None:
-        """Repair the prefix folds from the first touched index on."""
-        nb = 2 * len(self.ctx.lids)
-        for j in range(first_block, nb):
-            b = self._block(j)
-            np.add(self._vol_pre[j], b.volumes, out=self._vol_pre[j + 1])
-            for pre, part in (
-                (self._dr_pre, b.dram_read),
-                (self._dw_pre, b.dram_write),
-                (self._do_pre, b.dram_weight_once),
-            ):
-                if part is None:
-                    pre[j + 1] = pre[j]
-                else:
-                    np.add(pre[j], part, out=pre[j + 1])
-            self._hop_pre[j + 1] = self._hop_pre[j] + b.weight_tree_hop_bytes
-        for i in range(first_layer, len(self.ctx.lids)):
-            rec = self.recs[i].rec
-            cm = self._cmp_pre[i]
-            self._cmp_pre[i + 1] = rec.compute if rec.compute > cm else cm
-            self._int_pre[i + 1] = self._int_pre[i] + rec.energy
-            self._fit_pre[i + 1] = self._fit_pre[i] and rec.fits
-
-    def propose(self, lms: LayerGroupMapping,
-                stored_at: dict[str, int]) -> Proposal:
-        """Delta-evaluate a candidate LMS of the session's group."""
-        self.proposed += 1
+    def propose(self, lms: LayerGroupMapping, stored_at: dict[str, int],
+                pend) -> StagedCandidate:
+        """Stage ``lms`` against the accepted state; rebuilt blocks are
+        queued on ``pend`` (a :class:`~repro.compiled.batch.
+        _DeferredBlocks`) and materialize when it flushes."""
         ceval, ctx, bu = self.ceval, self.ctx, self.bu
         old = self.schemes
         n_layers = len(ctx.lids)
-        schemes = [lms.scheme(name) for name in self.group.layers]
+        schemes = [lms.scheme(name) for name in ctx.layers]
         recs = list(self.recs)
         self_blocks = list(self.self_blocks)
         input_blocks = list(self.input_blocks)
-        ext_places = self.ext_places
-        new_places = ext_places
+        places = self.ext_places
+        rows: list[tuple] = []
         changed = set()
-        first_layer = n_layers
         for i, lid in enumerate(ctx.lids):
             if schemes[i] is not old[i]:
                 changed.add(i)
-                if i < first_layer:
-                    first_layer = i
                 recs[i] = ceval.layer_rec(lid, schemes[i], bu)
-                self_blocks[i] = ceval.self_block(lid, schemes[i], bu, recs[i])
-        first_block = 2 * first_layer + 1 if first_layer < n_layers \
-            else 2 * n_layers
+                sb = pend.stage_self_block(lid, schemes[i], bu, recs[i])
+                self_blocks[i] = sb
+                rows.append((2 * i + 1, sb))
         for i in range(n_layers):
             # An input block goes stale when its layer, one of its
             # in-group producers, or a cross-group placement changed.
@@ -1007,60 +604,26 @@ class GroupSession:
                         break
             names = ctx.ext_names[i]
             if names:
-                places = tuple(
-                    stored_at.get(nm, INTERLEAVED) for nm in names
-                )
-                if places != ext_places[i]:
+                now = tuple(stored_at.get(nm, INTERLEAVED) for nm in names)
+                if now != places[i]:
                     stale = True
-                    if new_places is ext_places:
-                        new_places = list(ext_places)
-                    new_places[i] = places
+                    if places is self.ext_places:
+                        places = list(places)
+                    places[i] = now
             if stale:
-                if 2 * i < first_block:
-                    first_block = 2 * i
-                input_blocks[i] = ceval._build_input_block(
+                ib = pend.stage_input_block(
                     ctx, i, bu, schemes, recs,
                     ceval.deps_for(ctx, i, schemes, stored_at),
                 )
-        # Continue the canonical left fold from the last valid prefix;
-        # bit-identical to folding all blocks from zero.
-        nb = 2 * n_layers
-        vol = self._vol_pre[first_block].copy()
-        dr = self._dr_pre[first_block].copy()
-        dw = self._dw_pre[first_block].copy()
-        do = self._do_pre[first_block].copy()
-        hop = self._hop_pre[first_block]
-        for j in range(first_block, nb):
-            b = input_blocks[j // 2] if j % 2 == 0 else self_blocks[j // 2]
-            vol += b.volumes
-            if b.dram_read is not None:
-                dr += b.dram_read
-            if b.dram_write is not None:
-                dw += b.dram_write
-            if b.dram_weight_once is not None:
-                do += b.dram_weight_once
-            hop += b.weight_tree_hop_bytes
-        compute = self._cmp_pre[first_layer]
-        intra_j = self._int_pre[first_layer]
-        fits = self._fit_pre[first_layer]
-        for i in range(first_layer, n_layers):
-            rec = recs[i].rec
-            if rec.compute > compute:
-                compute = rec.compute
-            intra_j += rec.energy
-            fits = fits and rec.fits
-        result = ceval._finalize(
-            self.group, self.batch, vol, dr, dw, do, hop,
-            compute, intra_j, fits,
-        )
-        return Proposal(result, schemes, recs, self_blocks, input_blocks,
-                        new_places, first_block, first_layer)
+                input_blocks[i] = ib
+                rows.append((2 * i, ib))
+        return StagedCandidate(schemes, recs, self_blocks, input_blocks,
+                               places, rows)
 
-    def commit(self, proposal: Proposal) -> None:
-        self.committed += 1
-        self.schemes = proposal.schemes
-        self.recs = proposal.recs
-        self.self_blocks = proposal.self_blocks
-        self.input_blocks = proposal.input_blocks
-        self.ext_places = proposal.ext_places
-        self._refold(proposal.first_block, proposal.first_layer)
+    def commit(self, staged: StagedCandidate) -> None:
+        """Adopt a (resolved) staged candidate as the accepted state."""
+        self.schemes = staged.schemes
+        self.recs = staged.recs
+        self.self_blocks = staged.self_blocks
+        self.input_blocks = staged.input_blocks
+        self.ext_places = staged.ext_places

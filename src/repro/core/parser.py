@@ -211,42 +211,16 @@ def parse_scheme(
     return tuple(parts)
 
 
-def parse_lms(
-    graph: DNNGraph, lms: LayerGroupMapping, cache: dict | None = None
-) -> ParsedGroup:
-    """Parse a full LMS into concrete per-core workloads.
-
-    ``cache`` memoizes :class:`ParsedLayer` records per
-    ``(layer, scheme, batch_unit)``: SA moves mutate one layer's scheme
-    at a time, so every other layer of the group parses to an identical
-    (immutable) record that can be reused.  A plain dict works; an
-    :class:`~repro.perf.LruDict` additionally bounds the memo.  The
-    cache must be scoped to one graph — schemes say nothing about layer
-    shapes.
-    """
-    layers = {}
+def parse_lms(graph: DNNGraph, lms: LayerGroupMapping) -> ParsedGroup:
+    """Parse a full LMS into concrete per-core workloads."""
     batch_unit = lms.group.batch_unit
-    if cache is None:
-        for name in lms.group.layers:
-            scheme = lms.scheme(name)
-            layers[name] = ParsedLayer(
-                name, scheme,
-                parse_scheme(graph.layer(name), scheme, batch_unit),
-            )
-        return ParsedGroup(lms.group, layers)
-    lookup = getattr(cache, "get_lru", cache.get)
-    store = getattr(cache, "put", cache.__setitem__)
+    layers = {}
     for name in lms.group.layers:
         scheme = lms.scheme(name)
-        key = (name, scheme, batch_unit)
-        parsed_layer = lookup(key)
-        if parsed_layer is None:
-            parsed_layer = ParsedLayer(
-                name, scheme,
-                parse_scheme(graph.layer(name), scheme, batch_unit),
-            )
-            store(key, parsed_layer)
-        layers[name] = parsed_layer
+        layers[name] = ParsedLayer(
+            name, scheme,
+            parse_scheme(graph.layer(name), scheme, batch_unit),
+        )
     return ParsedGroup(lms.group, layers)
 
 

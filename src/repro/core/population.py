@@ -1,16 +1,19 @@
-"""Population SA: N annealing walkers advanced in lockstep batches.
+"""The annealing walk: N Metropolis walkers advanced in lockstep.
 
-``SASettings.population = N`` runs N independent Metropolis walkers
-over the same layer groups.  Each step draws **one** layer group for
-the whole population (so every walker's candidate lands in the same
+Every :class:`~repro.core.sa.SAController` run drives one
+:class:`PopulationWalk`.  Each step draws **one** layer group for the
+whole population (so every walker's candidate lands in the same
 :class:`~repro.compiled.batch.PopulationGroupState` and the entire
 step prices as one batched fold + finalize), then one operator move
 per walker, a per-walker accept test, and a single batched resolve.
 
-Walker w draws from its own ``random.Random`` stream, so the
-population is N *distinct* trajectories — deterministic for a fixed
-seed, but deliberately not the serial N=1 trajectory (that one is
-preserved exactly by the ``population=1`` path, batched or not).
+``SASettings.population = 1`` (the default) is the paper's serial
+walk: the group, operator and accept draws all come from the
+controller's own ``random.Random(seed)`` stream, in the order the
+single-trajectory loop has always drawn them.  With ``N > 1`` walker
+w draws from its own stream and the group draws from a dedicated one,
+so the population is N *distinct* trajectories — deterministic for a
+fixed seed.
 
 ``SASettings.tempering = K`` layers parallel tempering on top: walkers
 are pinned to K temperature rungs (rung r anneals at ``T(i) *
@@ -40,26 +43,56 @@ from repro.errors import SearchError
 SWAP_PERIOD = 16
 
 
+def _rel_delta(old_cost: float, new_cost: float) -> float:
+    """Relative cost delta of a move (comparable across groups)."""
+    if old_cost > 0:
+        return (new_cost - old_cost) / old_cost
+    return new_cost - old_cost
+
+
 class PopulationWalk:
-    """The mutable state of one population run over a controller."""
+    """The mutable state of one annealing run over a controller.
+
+    The walk shares the controller's state objects (settings, stats,
+    best-so-far lists, walker 0's current mapping) but keeps no
+    reference to the controller itself.
+    """
 
     def __init__(self, ctrl):
         s = ctrl.settings
-        if s.population < 1:
-            raise SearchError("population must be >= 1")
-        self.ctrl = ctrl
+        self.settings = s
         self.n = s.population
         self.k = max(1, min(s.tempering, self.n))
-        # Group draws and swap tests come from a dedicated stream so
-        # walker streams stay pure functions of (seed, walker index).
-        self.rng = random.Random((s.seed << 1) ^ 0x9E3779B9)
-        self.walker_rngs = [
-            random.Random(s.seed * 1_000_003 + w + 1) for w in range(self.n)
+        self.graph = ctrl.graph
+        self.evaluator = ctrl.evaluator
+        self.batch = ctrl.batch
+        self.stats = ctrl.stats
+        self.diag = ctrl._diag
+        self.best = ctrl.best
+        self.best_costs = ctrl.best_costs
+        self.group_indices = ctrl._group_indices
+        self.group_cum_weights = ctrl._group_cum_weights
+        if self.n == 1:
+            self.rng = ctrl.rng
+            self.walker_rngs = [ctrl.rng]
+        else:
+            # Group draws and swap tests come from a dedicated stream
+            # so walker streams stay pure functions of (seed, index).
+            self.rng = random.Random((s.seed << 1) ^ 0x9E3779B9)
+            self.walker_rngs = [
+                random.Random(s.seed * 1_000_003 + w + 1)
+                for w in range(self.n)
+            ]
+        # Every walker starts at the controller's initial state; walker
+        # 0 *is* the controller's current state.
+        copies = range(self.n - 1)
+        self.lms = [ctrl.current] + [list(ctrl.current) for _ in copies]
+        self.costs = [ctrl.current_costs] + [
+            list(ctrl.current_costs) for _ in copies
         ]
-        # Every walker starts at the controller's initial state.
-        self.lms = [list(ctrl.current) for _ in range(self.n)]
-        self.costs = [list(ctrl.current_costs) for _ in range(self.n)]
-        self.stored = [dict(ctrl._stored_at) for _ in range(self.n)]
+        self.stored = [ctrl._stored_at] + [
+            dict(ctrl._stored_at) for _ in copies
+        ]
         total0 = sum(ctrl.current_costs)
         self.totals = [total0] * self.n
         # Temperature multipliers per rung; rung 0 is the base schedule.
@@ -81,14 +114,15 @@ class PopulationWalk:
         )
         if not self.pool:
             raise SearchError("no SA operators enabled")
-        compiled_for = getattr(ctrl.evaluator, "compiled_for", None)
+        compiled_for = getattr(self.evaluator, "compiled_for", None)
         self.ceval = (
-            compiled_for(ctrl.graph) if compiled_for is not None else None
+            compiled_for(self.graph) if compiled_for is not None else None
         )
         #: Lazily-built batched group states (compiled path only), one
         #: per layer group, created the first time the group is drawn.
         self.states = [None] * len(ctrl.current)
         self.candidates_scored = 0
+        self.eval_s = 0.0
 
     # ------------------------------------------------------------------
 
@@ -100,26 +134,24 @@ class PopulationWalk:
             st = PopulationGroupState(
                 self.ceval,
                 [self.lms[w][gi] for w in range(self.n)],
-                self.ctrl.batch,
+                self.batch,
                 self.stored,
             )
             self.states[gi] = st
         return st
 
     def _draw(self, w: int, lms):
-        """One operator draw for walker ``w`` (mirrors
-        ``SAController._apply_operator`` on the walker's own rng)."""
-        ctrl = self.ctrl
+        """One operator draw for walker ``w`` on the walker's rng."""
         rng = self.walker_rngs[w]
         name, op = self.pool[rng.randrange(len(self.pool))]
-        ctrl.stats.operator_uses[name] = \
-            ctrl.stats.operator_uses.get(name, 0) + 1
-        if ctrl._diag is not None:
-            ctrl._diag.draw(name)
+        uses = self.stats.operator_uses
+        uses[name] = uses.get(name, 0) + 1
+        if self.diag is not None:
+            self.diag.draw(name)
         if op is op5_change_flow:
-            return name, op(ctrl.graph, lms, rng,
-                            n_dram=ctrl.evaluator.arch.n_dram)
-        return name, op(ctrl.graph, lms, rng)
+            return name, op(self.graph, lms, rng,
+                            n_dram=self.evaluator.arch.n_dram)
+        return name, op(self.graph, lms, rng)
 
     def _update_stored(self, w: int, lms) -> None:
         stored = self.stored[w]
@@ -130,13 +162,22 @@ class PopulationWalk:
             else:
                 stored.pop(name, None)
 
+    def current_total(self) -> float:
+        """The current cost the convergence curve samples: the one
+        walker's group-cost sum at N=1, else the best walker's running
+        total."""
+        if self.n == 1:
+            return sum(self.costs[0])
+        return min(self.totals)
+
     # ------------------------------------------------------------------
 
     def step(self, iteration: int) -> int:
-        """One lockstep population iteration; returns accepted count."""
-        ctrl = self.ctrl
+        """One lockstep iteration at temperature ``base_t``; returns the
+        accepted count."""
+        stats = self.stats
         gi = self.rng.choices(
-            ctrl._group_indices, cum_weights=ctrl._group_cum_weights
+            self.group_indices, cum_weights=self.group_cum_weights
         )[0]
         cands = []
         for w in range(self.n):
@@ -145,7 +186,7 @@ class PopulationWalk:
                 cands.append((w, name, cand))
         accepted_total = 0
         if cands:
-            ctrl.stats.proposed += len(cands)
+            stats.proposed += len(cands)
             self.candidates_scored += len(cands)
             t0 = time.perf_counter()
             if self.ceval is not None:
@@ -157,23 +198,23 @@ class PopulationWalk:
             else:
                 bp = st = None
                 evals = [
-                    ctrl.evaluator.evaluate_group(
-                        ctrl.graph, cand, ctrl.batch, self.stored[w]
+                    self.evaluator.evaluate_group(
+                        self.graph, cand, self.batch, self.stored[w]
                     )
                     for w, _, cand in cands
                 ]
-            ctrl._delta_eval_s += time.perf_counter() - t0
-            ctrl._delta_evals += len(cands)
-            base_t = ctrl._temperature(iteration)
-            diag = ctrl._diag
+            self.eval_s += time.perf_counter() - t0
+            objective = self.settings.objective
+            best_costs = self.best_costs
+            diag = self.diag
             flags = []
             for (w, name, cand), ev in zip(cands, evals):
-                new_cost = ctrl._objective(ev)
+                new_cost = objective(ev)
                 old_cost = self.costs[w][gi]
                 accept = new_cost <= old_cost
                 if not accept and old_cost > 0:
                     rel = (new_cost - old_cost) / old_cost
-                    t = base_t * self.mult[self.rung_of[w]]
+                    t = self.base_t * self.mult[self.rung_of[w]]
                     accept = (
                         self.walker_rngs[w].random()
                         < math.exp(-rel / max(t, 1e-9))
@@ -182,20 +223,20 @@ class PopulationWalk:
                 improved = False
                 if accept:
                     accepted_total += 1
-                    ctrl.stats.accepted += 1
+                    stats.accepted += 1
                     self.lms[w][gi] = cand
                     self.totals[w] += new_cost - old_cost
                     self.costs[w][gi] = new_cost
                     self._update_stored(w, cand)
-                    if new_cost < ctrl.best_costs[gi]:
-                        ctrl.best[gi] = cand
-                        ctrl.best_costs[gi] = new_cost
-                        ctrl.stats.improved += 1
-                        ctrl.stats.best_iteration = iteration + 1
+                    if new_cost < best_costs[gi]:
+                        self.best[gi] = cand
+                        best_costs[gi] = new_cost
+                        stats.improved += 1
+                        stats.best_iteration = iteration + 1
                         improved = True
                 if diag is not None:
                     diag.proposal(
-                        name, ctrl._rel_delta(old_cost, new_cost),
+                        name, _rel_delta(old_cost, new_cost),
                         accept, improved,
                     )
             if bp is not None:
@@ -235,42 +276,17 @@ class PopulationWalk:
                     self.rung_of[wc] = r + 1
         self._swap_round += 1
 
-
-def run_population(ctrl):
-    """The population/tempering run loop of :meth:`SAController.run`."""
-    from repro.obs.trace import trace
-    from repro.perf import PERF
-
-    s = ctrl.settings
-    walk = PopulationWalk(ctrl)
-    ctrl._population_walk = walk
-    diag = ctrl._diag
-    with trace("sa.population.run", iterations=s.iterations,
-               seed=s.seed, population=walk.n, tempering=walk.k,
-               groups=len(ctrl.best)):
-        t0 = time.perf_counter()
-        for i in range(s.iterations):
-            ctrl.stats.iterations += 1
-            walk.base_t = ctrl._temperature(i)
-            walk.step(i)
-            if diag is not None and diag.want(i):
-                diag.sample(i, sum(ctrl.best_costs), min(walk.totals),
-                            ctrl._temperature(i))
-        ctrl.stats.wall_time_s += time.perf_counter() - t0
-    ctrl.stats.final_cost = sum(ctrl.best_costs)
-    if s.iterations:
-        PERF.add("sa.iterations", s.iterations)
-        PERF.add("sa.population.steps", s.iterations)
-    if walk.candidates_scored:
-        PERF.add("sa.population.candidates", walk.candidates_scored)
-        PERF.add_time("sa.delta_eval", ctrl._delta_eval_s,
-                      ctrl._delta_evals)
-    if walk.swaps_attempted:
-        PERF.add("sa.population.swap_attempts", walk.swaps_attempted)
-        PERF.add("sa.population.swaps", walk.swaps_accepted)
-    if diag is not None:
-        from repro.obs.diag import DIAG
-
-        ctrl.stats.diag = diag.to_dict(ctrl.stats)
-        DIAG.record(ctrl.stats.diag["operators"])
-    return list(ctrl.best)
+    def report(self, perf) -> None:
+        """Fold the run's evaluation tallies into ``perf`` once."""
+        if self.candidates_scored:
+            perf.add_time("sa.delta_eval", self.eval_s,
+                          self.candidates_scored)
+            if self.ceval is not None:
+                perf.add("sa.session.proposed", self.candidates_scored)
+                perf.add("sa.session.committed", self.stats.accepted)
+        if self.n > 1:
+            perf.add("sa.population.steps", self.stats.iterations)
+            perf.add("sa.population.candidates", self.candidates_scored)
+        if self.swaps_attempted:
+            perf.add("sa.population.swap_attempts", self.swaps_attempted)
+            perf.add("sa.population.swaps", self.swaps_accepted)

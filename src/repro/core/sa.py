@@ -7,6 +7,10 @@ Evaluator under the ``E^beta * D^gamma`` objective.  Improvements are
 always accepted; regressions are accepted with probability
 ``exp(-rel_delta / T)`` under a geometrically cooling temperature.
 
+The loop itself lives in :class:`repro.core.population.PopulationWalk`:
+the paper's single walk is its one-walker case, and ``population > 1``
+anneals several walkers in lockstep.
+
 Because D2D links have lower bandwidth and higher energy, moves that add
 D2D traffic raise the cost and are increasingly rejected as T falls —
 the mechanism by which Gemini "automatically optimizes D2D
@@ -15,13 +19,11 @@ communication" (Sec V-B1, demonstrated in Sec VII-C).
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
 
 from repro.core.encoding import LayerGroupMapping
-from repro.core.operators import OPERATORS, op5_change_flow
 from repro.core.space import gemini_space_size, log10_size
 from repro.errors import SearchError
 from repro.evalmodel.evaluator import Evaluator
@@ -41,16 +43,8 @@ class SASettings:
     #: Operator names to draw from (None = all five).  Used by the
     #: operator-ablation study; the paper's search always uses all five.
     operators: tuple[str, ...] | None = None
-    #: Proposals scored per iteration.  ``1`` (default) is the paper's
-    #: plain Metropolis walk.  ``K > 1`` draws K operator moves against
-    #: the current state, delta-evaluates them all against the shared
-    #: compiled group state, and runs the accept test on the cheapest —
-    #: a best-of-K walk that trades evaluations per iteration for
-    #: greedier descent.  Deterministic for a fixed seed, but a
-    #: *different* search trajectory than ``K=1``; opt-in.
-    proposal_batch: int = 1
     #: Walkers annealed in lockstep (see :mod:`repro.core.population`).
-    #: ``1`` (default) is the single-trajectory walk above; ``N > 1``
+    #: ``1`` (default) is the paper's single-trajectory walk; ``N > 1``
     #: runs N independently-seeded walkers whose proposals are priced
     #: together through the population-batched compiled core
     #: (:mod:`repro.compiled.batch`) — a different (deterministic)
@@ -65,6 +59,17 @@ class SASettings:
     #: Pure observation: the trajectory is unchanged, so campaign
     #: content digests deliberately exclude this flag.
     diag: bool = False
+
+    def objective(self, ev) -> float:
+        """The ``E^beta * D^gamma`` objective of one group evaluation."""
+        return (ev.energy.total ** self.beta) * (ev.delay ** self.gamma)
+
+    def temperature(self, i: int) -> float:
+        """Geometric cooling from ``t_start`` to ``t_end``."""
+        if self.iterations <= 1:
+            return self.t_end
+        ratio = (self.t_end / self.t_start) ** (i / (self.iterations - 1))
+        return self.t_start * ratio
 
 
 @dataclass
@@ -119,10 +124,14 @@ class SAController:
     ):
         if not lmss:
             raise SearchError("no layer groups to anneal")
+        self.settings = settings or SASettings()
+        if self.settings.population < 1:
+            raise SearchError("population must be >= 1")
+        if self.settings.tempering < 1:
+            raise SearchError("tempering must be >= 1")
         self.graph = graph
         self.evaluator = evaluator
         self.batch = batch
-        self.settings = settings or SASettings()
         self.rng = random.Random(self.settings.seed)
         self.current = list(lmss)
         self.best = list(lmss)
@@ -144,21 +153,10 @@ class SAController:
         self.current_costs = [self._cost(lms) for lms in self.current]
         self.best_costs = list(self.current_costs)
         self.stats = SAStats(initial_cost=sum(self.current_costs))
-        # Delta-evaluation sessions over the compiled tables: one per
-        # group, sharing the evaluator's block caches.  ``None`` when
-        # the evaluator runs the object path (cache off / maxmin).
-        compiled_for = getattr(evaluator, "compiled_for", None)
-        compiled = compiled_for(graph) if compiled_for is not None else None
-        self._sessions = None
-        if compiled is not None and self.settings.population <= 1:
-            self._sessions = [
-                compiled.session(lms, batch, self._stored_at)
-                for lms in self.current
-            ]
-        #: The PopulationWalk of the last population run (telemetry).
+        #: The PopulationWalk of the last run (telemetry).  The walk
+        #: holds no reference back to the controller, so dropping the
+        #: controller frees both without the cyclic GC.
         self._population_walk = None
-        self._delta_eval_s = 0.0
-        self._delta_evals = 0
         # Opt-in diagnostics recorder; ``None`` keeps the hot path at
         # one attribute check per iteration.
         self._diag = None
@@ -188,213 +186,39 @@ class SAController:
                     stored[name] = of
         return stored
 
-    def _update_stored_at(self, lms: LayerGroupMapping) -> None:
-        """Refresh ``_stored_at`` for one group's layers only.
-
-        Groups partition the graph's layers, so replacing the mutated
-        group's entries is exactly equivalent to rebuilding the map over
-        every group (the entry is dropped when OF became implicit).
-        """
-        for name in lms.group.layers:
-            of = lms.scheme(name).fd.ofmap
-            if of >= 0:
-                self._stored_at[name] = of
-            else:
-                self._stored_at.pop(name, None)
-
-    def _objective(self, ev) -> float:
-        """The ``E^beta * D^gamma`` objective of one group evaluation."""
-        s = self.settings
-        return (ev.energy.total ** s.beta) * (ev.delay ** s.gamma)
-
     def _cost(self, lms: LayerGroupMapping) -> float:
         ev = self.evaluator.evaluate_group(
             self.graph, lms, self.batch, self._stored_at
         )
-        return self._objective(ev)
-
-    def _temperature(self, i: int) -> float:
-        s = self.settings
-        if s.iterations <= 1:
-            return s.t_end
-        ratio = (s.t_end / s.t_start) ** (i / (s.iterations - 1))
-        return s.t_start * ratio
-
-    def _pick_group(self) -> int:
-        return self.rng.choices(
-            self._group_indices, cum_weights=self._group_cum_weights
-        )[0]
-
-    def _apply_operator(self, lms: LayerGroupMapping):
-        """Draw one operator and apply it: ``(name, candidate | None)``."""
-        enabled = self.settings.operators
-        pool = (
-            OPERATORS if enabled is None
-            else tuple(o for o in OPERATORS if o[0] in enabled)
-        )
-        if not pool:
-            raise SearchError("no SA operators enabled")
-        name, op = pool[self.rng.randrange(len(pool))]
-        self.stats.operator_uses[name] = self.stats.operator_uses.get(name, 0) + 1
-        if self._diag is not None:
-            self._diag.draw(name)
-        if op is op5_change_flow:
-            return name, op(self.graph, lms, self.rng,
-                            n_dram=self.evaluator.arch.n_dram)
-        return name, op(self.graph, lms, self.rng)
+        return self.settings.objective(ev)
 
     # ------------------------------------------------------------------
 
-    def _candidate_cost(self, gi: int, lms: LayerGroupMapping):
-        """Cost of a candidate: delta evaluation when a session exists.
-
-        Returns ``(cost, proposal)``; the proposal (``None`` on the
-        object path) must be committed into its session iff the move is
-        accepted.  Delta and full evaluation are bit-identical, so the
-        two paths produce the same annealing trajectory.
-        """
-        if self._sessions is None:
-            return self._cost(lms), None
-        t0 = time.perf_counter()
-        proposal = self._sessions[gi].propose(lms, self._stored_at)
-        self._delta_eval_s += time.perf_counter() - t0
-        self._delta_evals += 1
-        return self._objective(proposal.result), proposal
-
-    def _accept(self, gi: int, iteration: int, candidate, new_cost,
-                proposal) -> bool:
-        """Metropolis accept test + state bookkeeping for one move."""
-        old_cost = self.current_costs[gi]
-        accept = new_cost <= old_cost
-        if not accept and old_cost > 0:
-            rel = (new_cost - old_cost) / old_cost
-            t = self._temperature(iteration)
-            accept = self.rng.random() < math.exp(-rel / max(t, 1e-9))
-        if not accept:
-            return False
-        self.stats.accepted += 1
-        if proposal is not None:
-            self._sessions[gi].commit(proposal)
-        self.current[gi] = candidate
-        self.current_costs[gi] = new_cost
-        self._update_stored_at(candidate)
-        if new_cost < self.best_costs[gi]:
-            self.best[gi] = candidate
-            self.best_costs[gi] = new_cost
-            self.stats.improved += 1
-            self.stats.best_iteration = iteration + 1
-        return True
-
-    def _rel_delta(self, old_cost: float, new_cost: float) -> float:
-        """Relative cost delta of a move (comparable across groups)."""
-        if old_cost > 0:
-            return (new_cost - old_cost) / old_cost
-        return new_cost - old_cost
-
-    def step(self, iteration: int) -> bool:
-        """One SA iteration; returns True when a move was accepted."""
-        if self.settings.proposal_batch > 1:
-            return self._step_batched(iteration)
-        gi = self._pick_group()
-        op_name, candidate = self._apply_operator(self.current[gi])
-        if candidate is None:
-            return False
-        self.stats.proposed += 1
-        old_cost = self.current_costs[gi]
-        improved_before = self.stats.improved
-        new_cost, proposal = self._candidate_cost(gi, candidate)
-        accepted = self._accept(gi, iteration, candidate, new_cost, proposal)
-        if self._diag is not None:
-            self._diag.proposal(
-                op_name, self._rel_delta(old_cost, new_cost),
-                accepted, self.stats.improved > improved_before,
-            )
-        return accepted
-
-    def _step_batched(self, iteration: int) -> bool:
-        """Score ``proposal_batch`` moves against the shared group
-        state; the cheapest takes the accept test (ties -> first)."""
-        gi = self._pick_group()
-        candidates = []
-        for _ in range(self.settings.proposal_batch):
-            name, c = self._apply_operator(self.current[gi])
-            if c is not None:
-                candidates.append((name, c))
-        if not candidates:
-            return False
-        self.stats.proposed += len(candidates)
-        old_cost = self.current_costs[gi]
-        improved_before = self.stats.improved
-        if self._sessions is not None and len(candidates) > 1:
-            # One stacked fold + finalize prices all K candidates;
-            # costs are bit-identical to the serial scoring loop, so
-            # the trajectory (and campaign digests) are unchanged.
-            from repro.compiled.batch import score_session_batch
-
-            t0 = time.perf_counter()
-            proposals = score_session_batch(
-                self._sessions[gi], [c for _, c in candidates],
-                self._stored_at,
-            )
-            self._delta_eval_s += time.perf_counter() - t0
-            self._delta_evals += len(candidates)
-            scored = [(self._objective(p.result), p) for p in proposals]
-        else:
-            scored = [self._candidate_cost(gi, c) for _, c in candidates]
-        bi = min(range(len(scored)), key=lambda j: scored[j][0])
-        new_cost, proposal = scored[bi]
-        accepted = self._accept(
-            gi, iteration, candidates[bi][1], new_cost, proposal
-        )
-        if self._diag is not None:
-            improved = self.stats.improved > improved_before
-            for j, (name, _) in enumerate(candidates):
-                cost_j = scored[j][0]
-                self._diag.proposal(
-                    name, self._rel_delta(old_cost, cost_j),
-                    accepted and j == bi, improved and j == bi,
-                )
-        return accepted
-
     def run(self) -> list[LayerGroupMapping]:
-        if self.settings.population > 1:
-            from repro.core.population import run_population
-
-            return run_population(self)
+        from repro.core.population import PopulationWalk
         from repro.obs.trace import trace
+        from repro.perf import PERF
 
-        ran = 0
+        s = self.settings
+        walk = PopulationWalk(self)
+        self._population_walk = walk
         diag = self._diag
-        with trace("sa.run", iterations=self.settings.iterations,
-                   seed=self.settings.seed, groups=len(self.best)):
+        with trace("sa.run", iterations=s.iterations, seed=s.seed,
+                   population=walk.n, tempering=walk.k,
+                   groups=len(self.best)):
             t0 = time.perf_counter()
-            for i in range(self.settings.iterations):
+            for i in range(s.iterations):
                 self.stats.iterations += 1
-                ran += 1
-                self.step(i)
+                walk.base_t = s.temperature(i)
+                walk.step(i)
                 if diag is not None and diag.want(i):
                     diag.sample(i, sum(self.best_costs),
-                                sum(self.current_costs),
-                                self._temperature(i))
+                                walk.current_total(), walk.base_t)
             self.stats.wall_time_s += time.perf_counter() - t0
         self.stats.final_cost = sum(self.best_costs)
-        if ran:
-            from repro.perf import PERF
-
-            PERF.add("sa.iterations", ran)
-        if self._delta_evals:
-            from repro.perf import PERF
-
-            PERF.add_time("sa.delta_eval", self._delta_eval_s,
-                          self._delta_evals)
-        if self._sessions is not None:
-            proposed = sum(s.proposed for s in self._sessions)
-            committed = sum(s.committed for s in self._sessions)
-            if proposed:
-                from repro.perf import PERF
-
-                PERF.add("sa.session.proposed", proposed)
-                PERF.add("sa.session.committed", committed)
+        if s.iterations:
+            PERF.add("sa.iterations", s.iterations)
+        walk.report(PERF)
         if diag is not None:
             from repro.obs.diag import DIAG
 

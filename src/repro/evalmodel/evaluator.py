@@ -6,37 +6,31 @@ describes: per-group evaluation (called inside the SA loop) and
 whole-mapping evaluation (chaining groups, propagating where each
 group's ofmaps were stored so later groups fetch from the right DRAM).
 
-The evaluator layers four caches over the pipeline (all per graph, all
-enabled by default, all disabled with ``cache=False``):
+Group evaluations take one of two paths:
 
-1. parsed-layer records per ``(layer, scheme, batch_unit)``;
-2. intra-core result lists per parsed layer;
-3. per-layer traffic blocks (see ``traffic_analysis``);
-4. whole :class:`GroupEval` records keyed by the LMS digest, the batch
-   and the DRAM placement of the group's cross-group inputs.
+* the **array-native compiled core** (:mod:`repro.compiled`, the
+  default): the graph is lowered once into flat numpy tables and
+  evaluated through memoized partition/scheme records and the batched
+  fold + finalize, so the hot path never walks Python object graphs;
+* the **object path** — parse, intra-core schedule, traffic analysis,
+  stage times — uncached.  It is the reference oracle
+  (``cache=False``) and serves whatever the compiled core does not
+  compute: flow collection (``keep_traffic``) and the max–min network
+  model.
 
-On top of the caches, the default configuration routes group
-evaluations through the **array-native compiled core**
-(:mod:`repro.compiled`): the graph is lowered once into flat numpy
-tables and the hot path never walks Python object graphs.  Flow
-collection (``keep_traffic`` / the max–min network model) stays on the
-object path.
-
-Every cache — and the compiled path — memoizes an immutable value of
-the same computation the uncached path runs, so all configurations are
-bit-identical; the SA loop gets its speed from reuse and array layout,
-not from approximation.
+The compiled core memoizes immutable values of the same computation the
+object path runs, so both paths are bit-identical; the SA loop gets its
+speed from reuse and array layout, not from approximation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 from repro.arch.energy import DEFAULT_ENERGY, EnergyModel
 from repro.arch.params import ArchConfig
-from repro.core.encoding import INTERLEAVED, LayerGroupMapping
+from repro.core.encoding import LayerGroupMapping
 from repro.fabric import Topology, build_topology
 from repro.core.parser import parse_lms
 from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval, MappingEval
@@ -45,33 +39,8 @@ from repro.evalmodel.energy import group_energy_from_intra
 from repro.evalmodel.traffic_analysis import GroupTrafficAnalyzer
 from repro.intracore.cache import IntraCoreEngine
 from repro.intracore.result import IntraCoreResult
-from repro.perf import PERF, LruDict
+from repro.perf import PERF
 from repro.workloads.graph import DNNGraph
-
-
-@dataclass
-class _GraphCaches:
-    """Evaluation caches scoped to one (graph, evaluator) pair."""
-
-    parse: LruDict = field(
-        default_factory=lambda: LruDict(32768, name="eval.parse"))
-    intra: LruDict = field(
-        default_factory=lambda: LruDict(32768, name="eval.intra"))
-    traffic: LruDict = field(
-        default_factory=lambda: LruDict(16384, name="eval.traffic"))
-    group: LruDict = field(
-        default_factory=lambda: LruDict(8192, name="eval.group"))
-    #: layer-group layers tuple -> sorted cross-group producer names
-    ext_producers: dict = field(default_factory=dict)
-
-
-def lms_digest(lms: LayerGroupMapping) -> tuple:
-    """A hashable digest of every scheme choice an LMS encodes."""
-    return (
-        lms.group.layers,
-        lms.group.batch_unit,
-        tuple(lms.scheme(name) for name in lms.group.layers),
-    )
 
 
 class Evaluator:
@@ -83,9 +52,9 @@ class Evaluator:
     transfers — slower, upper-bounds the analytic estimate, useful for
     validating schemes the search has already picked).
 
-    ``cache=False`` turns off all evaluation caches (the behaviour of
-    the original single-shot pipeline); results are identical either
-    way.
+    ``cache=False`` pins the uncached object path (the behaviour of the
+    original single-shot pipeline, kept as the reference oracle);
+    results are identical either way.
     """
 
     def __init__(
@@ -95,7 +64,6 @@ class Evaluator:
         energy: EnergyModel = DEFAULT_ENERGY,
         network_model: str = "bound",
         cache: bool = True,
-        compiled: bool | None = None,
     ):
         if network_model not in ("bound", "maxmin"):
             raise ValueError(f"unknown network model {network_model!r}")
@@ -104,20 +72,10 @@ class Evaluator:
         self.energy = energy
         self.network_model = network_model
         self.cache_enabled = cache
-        # The array-native path needs its caches and computes only the
-        # analytic bound (flow collection stays on the object path);
-        # results are bit-identical either way, so it defaults on
-        # wherever it applies.  ``compiled=False`` pins the object path
-        # (the A/B baseline the perf benchmarks measure against).
-        if compiled is None:
-            compiled = True
-        self.compiled_enabled = (
-            compiled and cache and network_model == "bound"
-        )
+        # The compiled core computes only the analytic bound; flow
+        # collection stays on the object path.
+        self.compiled_enabled = cache and network_model == "bound"
         self.intracore = IntraCoreEngine(arch, energy)
-        self._caches: WeakKeyDictionary[DNNGraph, _GraphCaches] = (
-            WeakKeyDictionary()
-        )
         self._compiled: WeakKeyDictionary[DNNGraph, object] = (
             WeakKeyDictionary()
         )
@@ -159,15 +117,6 @@ class Evaluator:
             self._compiled[graph] = ce
         return ce
 
-    def _graph_caches(self, graph: DNNGraph) -> _GraphCaches | None:
-        if not self.cache_enabled:
-            return None
-        caches = self._caches.get(graph)
-        if caches is None:
-            caches = _GraphCaches()
-            self._caches[graph] = caches
-        return caches
-
     def _n_d2d_interfaces(self) -> int:
         arch = self.arch
         if arch.is_monolithic:
@@ -176,53 +125,33 @@ class Evaluator:
             arch.chiplet_cores_x + arch.chiplet_cores_y
         )
 
-    def _intra_results(
-        self, parsed, cache: dict | None = None
-    ) -> dict[str, list[IntraCoreResult]]:
-        return self._intra_aggregate(parsed, cache)[0]
+    def _intra_results(self, parsed) -> dict[str, list[IntraCoreResult]]:
+        return self._intra_aggregate(parsed)[0]
 
     def _intra_aggregate(
-        self, parsed, cache: dict | None = None
+        self, parsed
     ) -> tuple[dict[str, list[IntraCoreResult]], float, float, bool]:
         """Per-layer intra-core results plus the group-level aggregates.
 
-        Returns ``(results, compute_max, intra_joules, fits)``.  The
-        per-layer (results, max compute time, energy sum, fits) tuples
-        are memoized so repeated evaluations of unchanged layers reduce
-        to three scalar folds.
+        Returns ``(results, compute_max, intra_joules, fits)``.
         """
         results: dict[str, list[IntraCoreResult]] = {}
-        batch_unit = parsed.group.batch_unit
         compute = 0.0
         intra_j = 0.0
         fits = True
-        lookup = store = None
-        if cache is not None:
-            lookup = getattr(cache, "get_lru", cache.get)
-            store = getattr(cache, "put", cache.__setitem__)
         for name, parsed_layer in parsed.layers.items():
-            entry = None
-            key = None
-            if cache is not None:
-                key = (name, parsed_layer.scheme, batch_unit)
-                entry = lookup(key)
-            if entry is None:
-                per_layer = [
-                    self.intracore.schedule(part.workload)
-                    for part in parsed_layer.parts
-                ]
-                layer_compute = 0.0
-                layer_j = 0.0
-                layer_fits = True
-                for res in per_layer:
-                    if res.compute_time > layer_compute:
-                        layer_compute = res.compute_time
-                    layer_j += res.energy
-                    layer_fits = layer_fits and res.fits
-                entry = (per_layer, layer_compute, layer_j, layer_fits)
-                if cache is not None:
-                    store(key, entry)
-            per_layer, layer_compute, layer_j, layer_fits = entry
+            per_layer = [
+                self.intracore.schedule(part.workload)
+                for part in parsed_layer.parts
+            ]
+            layer_compute = 0.0
+            layer_j = 0.0
+            layer_fits = True
+            for res in per_layer:
+                if res.compute_time > layer_compute:
+                    layer_compute = res.compute_time
+                layer_j += res.energy
+                layer_fits = layer_fits and res.fits
             results[name] = per_layer
             if layer_compute > compute:
                 compute = layer_compute
@@ -231,25 +160,6 @@ class Evaluator:
         return results, compute, intra_j, fits
 
     # ------------------------------------------------------------------
-
-    def _stored_slice(
-        self, graph: DNNGraph, lms: LayerGroupMapping,
-        stored_at: dict[str, int], caches: _GraphCaches | None,
-    ) -> tuple:
-        """The part of ``stored_at`` this group's evaluation reads."""
-        group = lms.group
-        ext = None if caches is None else caches.ext_producers.get(group.layers)
-        if ext is None:
-            names: set[str] = set()
-            for name in group.layers:
-                for inp in graph.input_slices(name):
-                    p = inp.producer
-                    if p is not None and p not in group:
-                        names.add(p)
-            ext = tuple(sorted(names))
-            if caches is not None:
-                caches.ext_producers[group.layers] = ext
-        return tuple(stored_at.get(p, INTERLEAVED) for p in ext)
 
     def evaluate_group(
         self,
@@ -261,45 +171,16 @@ class Evaluator:
     ) -> GroupEval:
         """Evaluate one layer group for a full inference of ``batch``."""
         stored_at = stored_at or {}
-        caches = self._graph_caches(graph)
-        key = None
-        if caches is not None and not keep_traffic:
-            key = (
-                lms_digest(lms), batch,
-                self._stored_slice(graph, lms, stored_at, caches),
-            )
-            # The named LruDict tallies hits/misses (lru.eval.group).
-            hit = caches.group.get_lru(key)
-            if hit is not None:
-                return hit
         compiled = None if keep_traffic else self.compiled_for(graph)
         if compiled is not None:
-            ev = compiled.evaluate_group(lms, batch, stored_at)
-        else:
-            ev = self._evaluate_group_uncached(
-                graph, lms, batch, stored_at, keep_traffic, caches
-            )
-        if key is not None:
-            caches.group.put(key, ev)
-        return ev
-
-    def _evaluate_group_uncached(
-        self, graph, lms, batch, stored_at, keep_traffic, caches
-    ) -> GroupEval:
-        parsed = parse_lms(
-            graph, lms, cache=None if caches is None else caches.parse
-        )
-        intra, compute_max, intra_j, fits = self._intra_aggregate(
-            parsed, cache=None if caches is None else caches.intra
-        )
+            return compiled.evaluate_group(lms, batch, stored_at)
+        parsed = parse_lms(graph, lms)
+        intra, compute_max, intra_j, fits = self._intra_aggregate(parsed)
         analyzer = GroupTrafficAnalyzer(
             graph, self.arch, self.topo,
             collect_flows=self.network_model == "maxmin",
         )
-        traffic = analyzer.analyze(
-            parsed, lms, intra, stored_at,
-            cache=None if caches is None else caches.traffic,
-        )
+        traffic = analyzer.analyze(parsed, lms, intra, stored_at)
         rounds = math.ceil(batch / lms.group.batch_unit)
         depth = len(lms.group)
         times = stage_times_from_compute(self.arch, compute_max, traffic)

@@ -27,9 +27,9 @@ The analyzer computes traffic one layer at a time into
 only on the layer's scheme, its in-group producers' schemes, the DRAM
 placement of its cross-group inputs and the group's batch unit — so an
 SA move that mutates one layer's scheme invalidates only that layer's
-block and the blocks of its in-group consumers.  Passing a ``cache``
-dict memoizes blocks under exactly that key, which is what makes the
-SA loop's incremental evaluation path fast.
+block and the blocks of its in-group consumers.  The compiled core
+(:mod:`repro.compiled`) memoizes blocks along exactly those lines; this
+analyzer is the uncached reference it is checked against.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.fabric import NodeId, Topology
 from repro.intracore.result import IntraCoreResult
 from repro.noc.multicast import multicast_tree
 from repro.noc.traffic import TrafficMap
-from repro.perf import PERF
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer, LayerType
 
@@ -328,17 +327,13 @@ class GroupTrafficAnalyzer:
         lms: LayerGroupMapping,
         intra: dict[str, list[IntraCoreResult]],
         stored_at: dict[str, int],
-        cache=None,
     ) -> GroupTraffic:
         """Per-round traffic for the group.
 
         ``intra`` maps layer name -> per-part intra-core results (same
         order as the parsed parts); ``stored_at`` maps producers in
         *earlier* groups to the FD selector their ofmaps were written
-        with.  ``cache`` (an :class:`~repro.perf.LruDict`) memoizes the
-        per-layer traffic blocks; the merged result is identical with or
-        without it because the uncached path runs the very same per-layer
-        computation.
+        with.
         """
         topo = self.topo
         n_dram = len(topo.dram_nodes())
@@ -352,9 +347,9 @@ class GroupTrafficAnalyzer:
         blocks = []
         for name in parsed.group.layers:
             blocks.append(
-                self._inputs_block(parsed, lms, intra, stored_at, name, cache)
+                self._inputs_block(parsed, lms, intra, stored_at, name)
             )
-            blocks.append(self._self_block(parsed, lms, intra, name, cache))
+            blocks.append(self._self_block(parsed, lms, intra, name))
         # One stacked fold over all link-volume arrays (sequential along
         # axis 0, so per-link sums match the += loop exactly).
         out.traffic.volumes += np.add.reduce(
@@ -371,19 +366,6 @@ class GroupTrafficAnalyzer:
             if out.flows is not None and block.flows:
                 out.flows.extend(block.flows)
         return out
-
-    def _inputs_key(self, parsed, lms, stored_at, name):
-        """Everything a layer's ifmap traffic depends on (see module doc)."""
-        deps = []
-        for inp in self.graph.input_slices(name):
-            p = inp.producer
-            if p is None:
-                continue  # the DRAM selector is in the layer's own scheme
-            if p in parsed.group:
-                deps.append((p, lms.scheme(p)))
-            else:
-                deps.append((p, stored_at.get(p, INTERLEAVED)))
-        return (name, lms.scheme(name), parsed.group.batch_unit, tuple(deps))
 
     def _fresh_accumulator(self) -> GroupTraffic:
         n_dram = len(self.topo.dram_nodes())
@@ -408,44 +390,20 @@ class GroupTrafficAnalyzer:
         )
 
     def _inputs_block(
-        self, parsed, lms, intra, stored_at, name, cache
+        self, parsed, lms, intra, stored_at, name
     ) -> LayerTrafficBlock:
         """Ifmap flows of one layer (producer- and placement-dependent)."""
-        key = None
-        if cache is not None and not self.collect_flows:
-            key = self._inputs_key(parsed, lms, stored_at, name)
-            block = cache.get_lru(key)
-            if block is not None:
-                PERF.add("traffic.layer.hits")
-                return block
-            PERF.add("traffic.layer.misses")
         tmp = self._fresh_accumulator()
         self._layer_inputs(parsed, lms, intra, stored_at, name, tmp)
-        block = self._freeze_block(tmp)
-        if key is not None:
-            cache.put(key, block)
-        return block
+        return self._freeze_block(tmp)
 
-    def _self_block(
-        self, parsed, lms, intra, name, cache
-    ) -> LayerTrafficBlock:
+    def _self_block(self, parsed, lms, intra, name) -> LayerTrafficBlock:
         """Weight and ofmap flows — a function of the layer's own scheme
         only, so a producer-side SA move never invalidates this part."""
-        key = None
-        if cache is not None and not self.collect_flows:
-            key = (name, lms.scheme(name), parsed.group.batch_unit, "self")
-            block = cache.get_lru(key)
-            if block is not None:
-                PERF.add("traffic.layer.hits")
-                return block
-            PERF.add("traffic.layer.misses")
         tmp = self._fresh_accumulator()
         self._layer_weights(parsed, lms, intra, name, tmp)
         self._layer_outputs(parsed, lms, name, tmp)
-        block = self._freeze_block(tmp)
-        if key is not None:
-            cache.put(key, block)
-        return block
+        return self._freeze_block(tmp)
 
     # ------------------------------------------------------------------
     # Ifmaps: inter-layer and DRAM flows

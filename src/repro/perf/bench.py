@@ -1,7 +1,7 @@
 """BENCH_perf.json emission.
 
 One JSON file accumulates the measurements of the performance harness:
-SA-loop throughput (cached vs. uncached evaluator), DSE worker scaling,
+SA-loop throughput (compiled vs. object evaluator), DSE worker scaling,
 and whatever counters the run collected.  Benchmarks and the CLI
 ``--profile`` flag both write through :func:`emit_bench`, merging into
 any existing file so independent runs compose into one record.

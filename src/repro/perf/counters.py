@@ -154,7 +154,7 @@ class PerfRegistry:
 
         Covers both the named :class:`LruDict` counters (``lru.*``,
         live caches plus whatever worker snapshots merged in) and
-        hand-rolled pairs like ``intracore`` or ``traffic.layer``.
+        hand-rolled pairs like ``intracore`` or ``fabric.route``.
         """
         counters = dict(self._counters)
         for name, value in _named_lru_counters().items():

@@ -96,3 +96,38 @@ class TestCliBatchValidation:
         args = build_parser().parse_args(["sweep", "--batches", "1", "64"])
         assert args.batches == [1, 64]
         assert build_parser().parse_args(["map", "--batch", "3"]).batch == 3
+
+
+class TestCliPopulationValidation:
+    """--population / --tempering reject counts below one at parse time:
+    ``--population 0`` used to run the serial walk under a different
+    store digest than ``--population 1``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["map", "--population", "0"],
+        ["map", "--tempering", "0"],
+        ["dse", "--population", "-2"],
+        ["dse", "--tempering", "0"],
+        ["campaign", "run", "--name", "x", "--population", "0"],
+        ["campaign", "run", "--name", "x", "--tempering", "-1"],
+        ["map", "--population", "many"],
+    ])
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err
+        assert "Traceback" not in err
+
+    def test_retired_proposal_batch_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--proposal-batch", "2"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_positive_values_parse(self):
+        args = build_parser().parse_args(
+            ["map", "--population", "4", "--tempering", "2"]
+        )
+        assert (args.population, args.tempering) == (4, 2)

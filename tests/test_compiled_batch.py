@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.arch import g_arch, s_arch
-from repro.compiled.batch import PopulationGroupState, evaluate_population
+from repro.compiled.batch import evaluate_population
 from repro.compiled.graph import (
     MAX_STACKED_LANES,
     as_index_table,
@@ -154,9 +154,17 @@ class TestPopulationSA:
         assert sorted(wa.rung_of) == sorted(wb.rung_of)
 
     def test_population_one_uses_serial_walk(self):
+        """N=1 is the paper's serial walk: one stream drives the group,
+        operator and accept draws, and walker 0 is the controller's own
+        state."""
         ctrl, _ = _anneal_population("GN", small_arch(), 4, population=1,
                                      iterations=10)
-        assert ctrl._population_walk is None
+        walk = ctrl._population_walk
+        assert walk.n == 1
+        assert walk.rng is ctrl.rng
+        assert walk.walker_rngs == [ctrl.rng]
+        assert walk.lms[0] is ctrl.current
+        assert walk.stored[0] is ctrl._stored_at
 
 
 class TestDiagProposalTotals:
@@ -177,7 +185,7 @@ class TestDiagProposalTotals:
 
     @pytest.mark.parametrize("sa_kwargs", [
         {},
-        {"proposal_batch": 3},
+        {"population": 3},
         {"population": 6},
         {"population": 6, "tempering": 3},
     ])

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.arch import ArchConfig, g_arch, s_arch
+from repro.compiled.batch import PopulationGroupState
 from repro.core import SAController, SASettings
 from repro.core.graphpart import partition_graph
 from repro.core.initial import initial_lms
@@ -97,7 +98,7 @@ class TestModelZooIdentity:
 
 
 class TestDeltaEvaluation:
-    """Session delta evaluation vs full re-evaluation, per operator."""
+    """Delta evaluation of one walker's moves vs the object oracle."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -113,8 +114,7 @@ class TestDeltaEvaluation:
         graph, arch, lms = setup
         ev = Evaluator(arch)
         reference = Evaluator(arch, cache=False)
-        ce = ev.compiled_for(graph)
-        session = ce.session(lms, 8, {})
+        state = PopulationGroupState(ev.compiled_for(graph), [lms], 8, [{}])
         rng = random.Random(42)
         current = lms
         checked = 0
@@ -125,15 +125,21 @@ class TestDeltaEvaluation:
                 candidate = op(graph, current, rng)
             if candidate is None:
                 continue
-            proposal = session.propose(candidate, {})
+            bp = state.propose([(0, candidate)], [{}])
             full = reference.evaluate_group(graph, candidate, 8, {})
-            assert_group_evals_equal(proposal.result, full, op_name)
+            assert_group_evals_equal(bp.evals[0], full, op_name)
             checked += 1
-            # Commit every other accepted move so deltas also run
-            # against evolved (non-initial) session states.
-            if checked % 2 == 0:
-                session.commit(proposal)
+            # Commit every other move so deltas also run against
+            # evolved (non-initial) states; the rest roll back.
+            accept = checked % 2 == 0
+            state.resolve(bp, [accept])
+            if accept:
                 current = candidate
+            assert_group_evals_equal(
+                state.evaluate_current()[0],
+                reference.evaluate_group(graph, current, 8, {}),
+                f"{op_name} after resolve",
+            )
             if checked >= 12:
                 break
         assert checked >= 3, f"{op_name} never produced a candidate"
@@ -147,7 +153,6 @@ class TestDeltaEvaluation:
         assert len(lmss) >= 2, "test needs a multi-group partition"
         ev = Evaluator(arch)
         reference = Evaluator(arch, cache=False)
-        ce = ev.compiled_for(graph)
         # The second group reads the first group's outputs.
         first, second = lmss[0], lmss[1]
         stored = {}
@@ -155,66 +160,26 @@ class TestDeltaEvaluation:
             of = first.scheme(lname).fd.ofmap
             if of >= 0:
                 stored[lname] = of
-        session = ce.session(second, 4, stored)
-        base = session.propose(second, stored)
-        assert_group_evals_equal(
-            base.result, reference.evaluate_group(graph, second, 4, stored)
+        state = PopulationGroupState(
+            ev.compiled_for(graph), [second], 4, [stored]
         )
+        base = state.propose([(0, second)], [stored])
+        assert base.staged[0].rows == []
+        assert_group_evals_equal(
+            base.evals[0], reference.evaluate_group(graph, second, 4, stored)
+        )
+        state.resolve(base, [False])
         # Move every stored producer to explicit DRAM 1 and re-propose
         # the *same* mapping: only the placements changed.
         moved = {name: 1 for name in stored}
-        shifted = session.propose(second, moved)
+        shifted = state.propose([(0, second)], [moved])
+        assert shifted.staged[0].rows
         assert_group_evals_equal(
-            shifted.result,
+            shifted.evals[0],
             reference.evaluate_group(graph, second, 4, moved),
         )
-        assert shifted.result.delay != base.result.delay or \
-            shifted.result.energy.total != base.result.energy.total
-
-
-class TestBatchedSA:
-    """`SASettings.proposal_batch` semantics."""
-
-    def run_once(self, batch_k, seed=9, iterations=60):
-        graph = build("GN")
-        arch = small_arch()
-        groups = partition_graph(graph, arch, batch=4)
-        lmss = [initial_lms(graph, g, arch) for g in groups]
-        ctl = SAController(
-            graph, Evaluator(arch), list(lmss), 4,
-            SASettings(iterations=iterations, seed=seed,
-                       proposal_batch=batch_k),
-        )
-        ctl.run()
-        return ctl
-
-    def test_batched_deterministic_for_fixed_seed(self):
-        a = self.run_once(4)
-        b = self.run_once(4)
-        assert a.best_costs == b.best_costs
-        assert a.stats.final_cost == b.stats.final_cost
-        assert a.stats.accepted == b.stats.accepted
-        assert a.stats.proposed == b.stats.proposed
-        assert a.stats.operator_uses == b.stats.operator_uses
-
-    def test_batch_scores_k_proposals_per_iteration(self):
-        k = self.run_once(4)
-        single = self.run_once(1)
-        assert k.stats.proposed > single.stats.proposed
-        assert k.stats.iterations == single.stats.iterations
-
-    def test_batched_works_on_object_path_too(self):
-        """proposal_batch must not require the compiled evaluator."""
-        graph = build("GN")
-        arch = small_arch()
-        groups = partition_graph(graph, arch, batch=4)
-        lmss = [initial_lms(graph, g, arch) for g in groups]
-        ctl = SAController(
-            graph, Evaluator(arch, cache=False), list(lmss), 4,
-            SASettings(iterations=20, seed=9, proposal_batch=3),
-        )
-        ctl.run()
-        assert ctl.stats.proposed >= ctl.stats.iterations
+        assert shifted.evals[0].delay != base.evals[0].delay or \
+            shifted.evals[0].energy.total != base.evals[0].energy.total
 
 
 class TestWarmGuard:

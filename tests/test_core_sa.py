@@ -13,6 +13,7 @@ from repro.core import (
     validate_lms,
 )
 from repro.core.graphpart import estimate_group_cost
+from repro.errors import SearchError
 from repro.evalmodel import Evaluator
 from repro.units import GB, MB
 from repro.workloads.graph import DNNGraph
@@ -118,7 +119,72 @@ class TestSAController:
 
     def test_temperature_cools(self):
         _, _, sa = self.make()
-        assert sa._temperature(0) > sa._temperature(59)
+        assert sa.settings.temperature(0) > sa.settings.temperature(59)
+
+    @pytest.mark.parametrize("bad", [
+        {"population": 0}, {"population": -3}, {"tempering": 0},
+    ])
+    def test_rejects_empty_population_or_rungs(self, bad):
+        g = chain_graph()
+        arch = small_arch()
+        lmss = [initial_lms(g, grp, arch)
+                for grp in partition_graph(g, arch, batch=8)]
+        with pytest.raises(SearchError, match="must be >= 1"):
+            SAController(g, Evaluator(arch), lmss, 8,
+                         SASettings(iterations=5, **bad))
+
+
+class TestNoReferenceCycles:
+    """Evaluators, their compiled cores and controllers die by refcount
+    — with the cyclic GC off — so peak RSS does not depend on when a
+    collection happens to run."""
+
+    @pytest.mark.parametrize("population", [1, 3])
+    def test_mapped_engine_freed_without_gc(self, population):
+        import gc
+        import weakref
+
+        g = chain_graph(4)
+        engine = MappingEngine(
+            small_arch(),
+            settings=MappingEngineSettings(
+                sa=SASettings(iterations=30, seed=1, population=population),
+            ),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            engine.map(g, batch=4)
+            evaluator = weakref.ref(engine.evaluator)
+            compiled = weakref.ref(engine.evaluator.compiled_for(g))
+            del engine
+            assert compiled() is None
+            assert evaluator() is None
+        finally:
+            gc.enable()
+
+    def test_controller_and_walk_freed_without_gc(self):
+        import gc
+        import weakref
+
+        g = chain_graph(4)
+        arch = small_arch()
+        evaluator = Evaluator(arch)
+        lmss = [initial_lms(g, grp, arch)
+                for grp in partition_graph(g, arch, batch=4)]
+        gc.collect()
+        gc.disable()
+        try:
+            ctrl = SAController(g, evaluator, lmss, 4,
+                                SASettings(iterations=20, population=2))
+            ctrl.run()
+            walk = weakref.ref(ctrl._population_walk)
+            ctrl_ref = weakref.ref(ctrl)
+            del ctrl
+            assert ctrl_ref() is None
+            assert walk() is None
+        finally:
+            gc.enable()
 
 
 class TestMappingEngine:

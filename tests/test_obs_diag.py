@@ -62,7 +62,7 @@ def small_candidates():
 
 def run_sa(arch, settings, compiled=True):
     """One annealing run on the tiny graph; returns the controller."""
-    evaluator = Evaluator(arch, compiled=compiled)
+    evaluator = Evaluator(arch, cache=compiled)
     graph = tiny_graph()
     groups = partition_graph(graph, arch, batch=2)
     lmss = [initial_lms(graph, g, arch) for g in groups]
@@ -197,14 +197,14 @@ class TestControllerRecording:
         settings = SASettings(iterations=15, seed=2, diag=True)
         compiled = run_sa(small_candidates()[0], settings, compiled=True)
         objectp = run_sa(small_candidates()[0], settings, compiled=False)
-        assert compiled._sessions is not None
-        assert objectp._sessions is None
+        assert compiled._population_walk.ceval is not None
+        assert objectp._population_walk.ceval is None
         assert compiled.stats.diag == objectp.stats.diag
 
     def test_batched_proposals_recorded_per_scored_move(self):
         controller = run_sa(
             small_candidates()[0],
-            SASettings(iterations=10, seed=4, proposal_batch=3, diag=True),
+            SASettings(iterations=10, seed=4, population=3, diag=True),
         )
         ops = controller.stats.diag["operators"]
         assert sum(o["proposed"] for o in ops.values()) == \
