@@ -20,11 +20,11 @@ it:
 * missing DRAM parts fold ``+0.0`` instead of being skipped — exact
   for the non-negative aggregates carried here;
 * scatter kernels batch many ``np.bincount`` calls into one by giving
-  every request its own ``n_links``-wide segment
+  every scatter its own ``n_links``-wide segment
   (:func:`repro.compiled.graph.stacked_offsets` promotes the offsets
   to int64 *before* the ``N x links`` product): bincount accumulates
   sequentially in input order and segments are disjoint, so each
-  segment is bit-equal to the request's own bincount;
+  segment is bit-equal to the scatter's own bincount;
 * row-wise ``max`` reductions are order-insensitive for non-NaN
   floats, so the link-drain / DRAM-drain maxima vectorize freely —
   but *sums* over index subsets (NoC/D2D energy, DRAM byte totals)
@@ -44,9 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.encoding import LayerGroupMapping
+from repro.core.encoding import INTERLEAVED, LayerGroupMapping
 from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval
-from repro.evalmodel.traffic_analysis import _dram_targets
 from repro.compiled.evalcore import CompiledEval, GroupSession, StagedCandidate
 from repro.compiled.graph import as_index_table, stacked_offsets
 
@@ -104,26 +103,34 @@ class _CoreScatterQueue:
 
 
 class _FlatScatterQueue:
-    """Deferred DRAM scatters over pre-gathered route plans.
+    """Deferred scatters over pre-gathered link indices.
 
-    Requests arrive as the ``(valid link indices, per-part volumes,
-    per-part repeat counts)`` triples cached in
-    :attr:`CompiledLayer.dram_plans`; only the offset add, the repeat
-    and the bincount remain, and they batch across requests exactly
+    A request is ``(link indices, volumes, per-volume repeat counts,
+    segments)``: a :meth:`CompiledEval.dram_plan` covering every FD
+    target (target ``t``'s indices already offset by ``t * n_links``),
+    or one streamed weight-tree request.  Requests take consecutive
+    segments of the flat accumulator; only the base offset add, the
+    repeat and the bincount remain, batched across requests exactly
     like :class:`_CoreScatterQueue`.
     """
 
     def __init__(self, n_links: int):
         self.n_links = n_links
+        self.n_segs = 0
         self._idx: list[np.ndarray] = []
         self._vols: list[np.ndarray] = []
         self._reps: list[np.ndarray] = []
+        self._first: list[int] = []
 
-    def add(self, valid_idx, volumes, rep_lens) -> int:
-        self._idx.append(valid_idx)
+    def add(self, idx, volumes, reps, n_segs: int) -> int:
+        """Queue one request; returns its first segment."""
+        seg = self.n_segs
+        self._idx.append(idx)
         self._vols.append(volumes)
-        self._reps.append(rep_lens)
-        return len(self._idx) - 1
+        self._reps.append(reps)
+        self._first.append(seg)
+        self.n_segs = seg + n_segs
+        return seg
 
     def flush(self) -> np.ndarray | None:
         n_req = len(self._idx)
@@ -132,67 +139,17 @@ class _FlatScatterQueue:
         counts = np.fromiter(
             (len(ix) for ix in self._idx), dtype=np.int64, count=n_req
         )
-        idx_all = as_index_table(
+        first = np.fromiter(self._first, dtype=np.int64, count=n_req)
+        offsets = stacked_offsets(self.n_segs, self.n_links)[first]
+        idx_all = (
             np.concatenate(self._idx) if n_req > 1 else self._idx[0]
-        )
-        offsets = stacked_offsets(n_req, self.n_links)
-        idx_all = idx_all + np.repeat(offsets, counts)
+        ) + np.repeat(offsets, counts)
         weights = np.repeat(
             np.concatenate(self._vols) if n_req > 1 else self._vols[0],
             np.concatenate(self._reps) if n_req > 1 else self._reps[0],
         )
         out = np.bincount(
-            idx_all, weights=weights, minlength=n_req * self.n_links
-        )
-        return out.reshape(n_req, self.n_links)
-
-
-class _TreeScatterQueue:
-    """Deferred multicast-tree scatters, grouped into shared segments.
-
-    Unlike the request-per-segment queues above, callers allocate a
-    segment explicitly and may enqueue many tree scatters into it: the
-    serial weight loop applies ``vol[tree_links] += v`` directly onto
-    the accumulator, and bincount accumulates entries of one segment
-    sequentially in input order, so a segment's final row equals that
-    exact left fold from zero.
-    """
-
-    def __init__(self, n_links: int):
-        self.n_links = n_links
-        self.n_segs = 0
-        self._segs: list[int] = []
-        self._links: list[np.ndarray] = []
-        self._vols: list[float] = []
-
-    def new_segment(self) -> int:
-        self.n_segs += 1
-        return self.n_segs - 1
-
-    def add(self, seg: int, links: np.ndarray, volume: float) -> None:
-        self._segs.append(seg)
-        self._links.append(links)
-        self._vols.append(volume)
-
-    def flush(self) -> np.ndarray | None:
-        if not self.n_segs:
-            return None
-        n = len(self._links)
-        if not n:
-            return np.zeros((self.n_segs, self.n_links))
-        counts = np.fromiter(
-            (len(a) for a in self._links), dtype=np.int64, count=n
-        )
-        offsets = stacked_offsets(self.n_segs, self.n_links)
-        seg_of = np.fromiter(self._segs, dtype=np.int64, count=n)
-        idx = np.concatenate(self._links) + np.repeat(
-            offsets[seg_of], counts
-        )
-        weights = np.repeat(
-            np.fromiter(self._vols, dtype=np.float64, count=n), counts
-        )
-        out = np.bincount(
-            idx, weights=weights, minlength=self.n_segs * self.n_links
+            idx_all, weights=weights, minlength=self.n_segs * self.n_links
         )
         return out.reshape(self.n_segs, self.n_links)
 
@@ -200,6 +157,10 @@ class _TreeScatterQueue:
 # ----------------------------------------------------------------------
 # Deferred block construction
 # ----------------------------------------------------------------------
+
+
+#: The flows of an input slice that moves nothing over the fabric.
+_NO_FLOWS = (None, None)
 
 
 class _PendingInput:
@@ -213,16 +174,15 @@ class _PendingInput:
 
 
 class _PendingSelf:
-    """A self block whose link scatters are queued, not yet run; its
-    DRAM tallies are already written into ``row``."""
+    """A self block whose link rows (flat-queue segments ``seg`` on) are
+    queued; its DRAM tallies and hop bytes are already in ``row``."""
 
-    __slots__ = ("seg", "ofmap_reqs", "row", "hop", "block")
+    __slots__ = ("seg", "n_segs", "row", "block")
 
-    def __init__(self, seg, ofmap_reqs, row, hop):
+    def __init__(self, seg, n_segs, row):
         self.seg = seg
-        self.ofmap_reqs = ofmap_reqs
+        self.n_segs = n_segs
         self.row = row
-        self.hop = hop
         self.block: np.ndarray | None = None
 
 
@@ -231,7 +191,7 @@ class _DeferredBlocks:
 
     Staging walks each block against the shared :class:`CompiledEval`
     caches but queues every cache-missed bincount; :meth:`flush` runs
-    the three batched kernels, writes the materialized per-slice ops
+    the two batched kernels, writes the materialized per-slice flows
     and self blocks back into the caches (so every walker of a
     population shares them), and folds each pending input block in
     canonical slice order.  Blocks come out as lane rows (see
@@ -239,9 +199,13 @@ class _DeferredBlocks:
 
     A block's arithmetic is the object analyzer's
     (``GroupTrafficAnalyzer._layer_inputs`` / ``_layer_weights`` /
-    ``_layer_outputs``) over compiled records: each input slice's
-    contribution is kept as the exact sequence of vector adds the
-    analyzer performs and replayed in slice order, so a move that
+    ``_layer_outputs``) over compiled records, with every
+    order-sensitive fold kept a sequential left fold (``np.cumsum``, or
+    ``np.add.reduce`` over the outermost axis — never a pairwise sum
+    along a contiguous axis).  An input slice's flows are ``(link rows,
+    DRAM reads)``: the link-volume rows the analyzer adds one by one
+    (one per FD target for a DRAM read) and, for DRAM reads, the
+    ``(n_dram, parts)`` volumes plus their per-DRAM tally.  A move that
     changes one producer recomputes only that producer's slice.
     """
 
@@ -251,7 +215,6 @@ class _DeferredBlocks:
             ceval.core_table, ceval.core_lens, ceval.n_links
         )
         self.flat_q = _FlatScatterQueue(ceval.n_links)
-        self.tree_q = _TreeScatterQueue(ceval.n_links)
         self._pending: list[_PendingInput] = []
         #: Flush-local dedup: candidates of different walkers routinely
         #: miss the same slice key; stage it once, share the segment.
@@ -264,7 +227,7 @@ class _DeferredBlocks:
     def stage_input_block(
         self, ctx, i: int, bu: int, schemes, recs, deps
     ) -> _PendingInput:
-        """Ifmap flows of layer ``i``: per input slice, the cached ops
+        """Ifmap flows of layer ``i``: per input slice, the cached flows
         or a staged rebuild.  A slice depends on the layer's partition,
         core assignment and (DNN-input) ifmap selector, and on its
         producer's partition + core assignment or DRAM placement."""
@@ -278,30 +241,21 @@ class _DeferredBlocks:
                 p = schemes[group_pos]
                 key = (ctx.lids[i], op_idx, s.part, s.core_group,
                        p.part, p.core_group, bu)
-                ops = flows.get_lru(key)
-                if ops is None:
-                    ent = self._local.get(key)
-                    if ent is None:
-                        ent = self._stage_ingroup(
-                            layer, op_idx, recs[group_pos], s.part,
-                            p.part, bu,
-                        )
-                        self._local[key] = ent
-                    parts.append(("miss", key))
-                else:
-                    parts.append(("ready", ops))
             else:
                 fd = s.fd.ifmap if plid < 0 else dep
                 key = (ctx.lids[i], op_idx, s.part, s.core_group, fd, bu)
-                ops = flows.get_lru(key)
-                if ops is None:
-                    ent = self._local.get(key)
-                    if ent is None:
-                        ent = self._stage_dram(layer, op_idx, fd)
-                        self._local[key] = ent
-                    parts.append(("miss", key))
-                else:
-                    parts.append(("ready", ops))
+            ops = flows.get_lru(key)
+            if ops is not None:
+                parts.append(("ready", ops))
+                continue
+            if key not in self._local:
+                self._local[key] = (
+                    self._stage_ingroup(layer, op_idx, recs[group_pos],
+                                        s.part, p.part, bu)
+                    if group_pos is not None
+                    else self._stage_dram(layer, op_idx, fd)
+                )
+            parts.append(("miss", key))
         pb = _PendingInput(parts)
         self._pending.append(pb)
         return pb
@@ -315,45 +269,46 @@ class _DeferredBlocks:
             rec, op_idx, prod.rec, c_part, p_part, bu
         )
         if geom is None:
-            return ("ops", ())
+            return ("ops", _NO_FLOWS)
         di0, sj0, bytes0 = geom
         src, dst = prod.cores[sj0], cons.cores[di0]
         mask = src != dst
         if not mask.any():
-            return ("ops", ())
+            return ("ops", _NO_FLOWS)
         di = di0[mask]
         volumes = bytes0[mask] * rec.if_fetches[di]
-        rows = src[mask] * self.ceval.arch.n_cores + dst[mask]
+        rows = src[mask] * self.ceval.n_cores + dst[mask]
         return ("core", self.core_q.add(rows, volumes))
 
     def _stage_dram(self, layer, op_idx: int, fd: int):
-        """One DRAM-read input slice: per FD target, a queued link
-        scatter plus the per-part volumes the DRAM tally folds."""
-        pre = self.ceval._dram_in(layer.rec, op_idx)
+        """One DRAM-read input slice: one queued scatter over every FD
+        target, plus the per-part volumes the DRAM tally folds."""
+        ceval = self.ceval
+        pre = ceval._dram_in(layer.rec, op_idx)
         if pre is None:
-            return ("ops", ())
-        volumes = pre[1]
-        items = []
-        for d, share, valid_idx, rep_lens in self.ceval.dram_plan(
-            layer, fd, op_idx
-        ):
-            v = volumes * share
-            items.append(
-                (self.flat_q.add(valid_idx, v, rep_lens), d, v.tolist())
-            )
-        return ("dram", items)
+            return ("ops", _NO_FLOWS)
+        d, shares, idx, reps = ceval.dram_plan(layer, fd, op_idx)
+        v = shares[:, None] * pre[1]
+        seg = self.flat_q.add(idx, v.ravel(), reps, len(d))
+        # Per-DRAM sequential per-part tally, as in dram_scatter_batch
+        # (+0.0 rows for the DRAMs this slice does not read).
+        per_dram = np.zeros((ceval.n_dram, v.shape[1]))
+        per_dram[d] = v
+        return ("dram", seg, len(d),
+                (per_dram, per_dram.cumsum(axis=1)[:, -1]))
 
     def stage_self_block(self, lid: int, scheme, bu: int, layer):
         """Weight + ofmap flows of one scheme: shared empty, cached, or
         staged.
 
         They depend on the partition, the core assignment and those two
-        FD selectors only.  On a cache miss the weight-tree and ofmap
-        scatters are queued and only the scalar DRAM tallies run inline
-        — returning a :class:`_PendingSelf` resolved at :meth:`flush`.
+        FD selectors only.  On a cache miss the streamed weight-tree and
+        ofmap scatters are queued and only the DRAM tallies and hop
+        bytes run inline — returning a :class:`_PendingSelf` resolved at
+        :meth:`flush`.
         """
         ceval = self.ceval
-        if layer.rec.weight_slices is None and scheme.fd.ofmap < 0:
+        if layer.rec.weight_vols is None and scheme.fd.ofmap < 0:
             return ceval.empty_block
         key = (lid, scheme.part, scheme.core_group,
                scheme.fd.weight, scheme.fd.ofmap, bu)
@@ -368,104 +323,107 @@ class _DeferredBlocks:
         return ps
 
     def _stage_self(self, scheme, layer) -> _PendingSelf:
-        # The per-slice tree scatters of the weight loop share one
-        # bincount segment (sequential accumulation == the analyzer's
-        # vol[tree_links] += v folds from zero); the ofmap targets keep
-        # per-request segments because the analyzer adds each target's
-        # pre-summed bincount.
+        # The link rows are, in the analyzer's order, the streamed weight
+        # trees — all (slice, target) scatters of the weight loop share
+        # one segment, since sequential accumulation equals its
+        # ``vol[tree] += v`` folds from zero — then one segment per
+        # ofmap target, whose pre-summed bincount the analyzer adds.
         ceval = self.ceval
+        flat_q = self.flat_q
         rec = layer.rec
         row = np.zeros(ceval.lanes)
-        dram_read = row[ceval.sl_dr]
-        dram_write = row[ceval.sl_dw]
-        dram_once = row[ceval.sl_do]
-        hop = 0.0
-        tree_q = self.tree_q
-        seg = tree_q.new_segment()
-        if rec.weight_slices is not None:
+        seg = flat_q.n_segs
+        vols = rec.weight_vols
+        if vols is not None:
             # Cores sharing a K-slice receive the same bytes: one
-            # multicast tree per slice and DRAM target.
-            targets = _dram_targets(ceval.topo, scheme.fd.weight)
-            cores_list = layer.cores_list
-            glb_half = ceval.arch.glb_bytes / 2
-            trees = ceval._trees
-            tree_links = ceval._tree_links
-            for volume, kk, pk in rec.weight_slices:
-                dsts = tuple(cores_list[kk::pk])
-                resident = volume <= glb_half
-                for dram, share in targets:
-                    got = trees.get((dram, dsts))
-                    if got is None:
-                        got = tree_links(dram, dsts)
-                    v = volume * share
-                    if resident:
-                        # Loaded once per inference (prologue).
-                        dram_once[dram[1]] += v
-                        hop += v * got[1]
-                    else:
-                        tree_q.add(seg, got[0], v)
-                        dram_read[dram[1]] += v
-        ofmap_reqs = []
+            # multicast tree per slice and DRAM target.  ``v`` is
+            # (slice, target); the per-DRAM tallies fold its columns and
+            # the hop bytes its rows, both in that order.
+            d, shares = ceval.fd_targets[scheme.fd.weight]
+            words, sizes = ceval.weight_trees(layer, d)
+            v = vols[:, None] * shares
+            streamed = rec.weight_streamed
+            if streamed is not None:
+                # Multicast every round: scatter the trees' links.
+                vs = v[streamed]
+                row[ceval.sl_dr][d] = vs.cumsum(axis=0)[-1]
+                links = np.nonzero(np.unpackbits(
+                    words[streamed].view(np.uint8).reshape(vs.size, -1),
+                    axis=1, count=ceval.n_links, bitorder="little",
+                ))[1]
+                flat_q.add(links, vs.ravel(), sizes[streamed].ravel(), 1)
+                resident = ~streamed
+                v, sizes = v[resident], sizes[resident]
+            if len(v):
+                # GLB-resident: loaded once per inference (prologue).
+                row[ceval.sl_do][d] = v.cumsum(axis=0)[-1]
+                row[ceval.i_hop] = (v * sizes).cumsum()[-1]
         fd = scheme.fd.ofmap
         if fd >= 0:
-            volumes = rec.out_volumes
-            for d, share, valid_idx, rep_lens in ceval.dram_plan(layer, fd):
-                v = volumes * share
-                ofmap_reqs.append(
-                    self.flat_q.add(valid_idx, v, rep_lens)
-                )
-                # Sequential per-part tally, as in dram_scatter_batch.
-                t = dram_write[d]
-                for x in v.tolist():
-                    t += x
-                dram_write[d] = t
-        return _PendingSelf(seg, ofmap_reqs, row, hop)
+            d, shares, idx, reps = ceval.dram_plan(layer, fd)
+            v = shares[:, None] * rec.out_volumes
+            flat_q.add(idx, v.ravel(), reps, len(d))
+            # Per-target sequential per-part tally, as in
+            # dram_scatter_batch.
+            row[ceval.sl_dw][d] = v.cumsum(axis=1)[:, -1]
+        return _PendingSelf(seg, flat_q.n_segs - seg, row)
 
     # -- resolution ----------------------------------------------------
 
     def flush(self) -> None:
         core_out = self.core_q.flush()
         flat_out = self.flat_q.flush()
-        tree_out = self.tree_q.flush()
         ceval = self.ceval
         sl_vol = ceval.sl_vol
         for key, ps in self._self_pending:
             row = ps.row
-            vol = row[sl_vol]
-            vol[:] = tree_out[ps.seg]
-            for r in ps.ofmap_reqs:
-                vol += flat_out[r]
-            row[ceval.i_hop] = ps.hop
+            if ps.n_segs:
+                np.add.reduce(
+                    flat_out[ps.seg:ps.seg + ps.n_segs], axis=0,
+                    out=row[sl_vol],
+                )
             ps.block = row
             ceval.self_blocks.put(key, row)
         resolved: dict[tuple, tuple] = {}
         for key, ent in self._local.items():
             kind = ent[0]
             if kind == "core":
-                ops = ((core_out[ent[1]].copy(), None, None),)
+                ops = (core_out[ent[1]:ent[1] + 1].copy(), None)
             elif kind == "dram":
-                ops = tuple(
-                    (flat_out[r].copy(), d, vl) for r, d, vl in ent[1]
-                )
+                _, seg, n_segs, dram = ent
+                ops = (flat_out[seg:seg + n_segs].copy(), dram)
             else:
                 ops = ent[1]
             ceval.slice_flows.put(key, ops)
             resolved[key] = ops
+        sl_dr = ceval.sl_dr
         for pb in self._pending:
             row = np.zeros(ceval.lanes)
-            vol = row[sl_vol]
-            dram_read = row[ceval.sl_dr]
+            rows = []
+            drams = []
             for part in pb.parts:
-                ops = part[1] if part[0] == "ready" else resolved[part[1]]
-                for arr, d, v_list in ops:
-                    vol += arr
-                    if d is not None:
-                        # Sequential scalar fold, matching the per-part
-                        # tally loop of the analyzer.
-                        t = dram_read[d]
-                        for x in v_list:
-                            t += x
-                        dram_read[d] = t
+                arrs, dram = (
+                    part[1] if part[0] == "ready" else resolved[part[1]]
+                )
+                if arrs is not None:
+                    rows.append(arrs)
+                if dram is not None:
+                    drams.append(dram)
+            if rows:
+                # The slices' link rows, added one by one in slice order.
+                np.add.reduce(
+                    rows[0] if len(rows) == 1 else np.concatenate(rows),
+                    axis=0, out=row[sl_vol],
+                )
+            if len(drams) == 1:
+                row[sl_dr] = drams[0][1]
+            elif drams:
+                # Several DRAM-read slices: one sequential per-DRAM fold
+                # over all their parts in slice order (adding the +0.0
+                # of a DRAM a slice does not read is exact here).
+                row[sl_dr] = np.concatenate(
+                    [v for v, _ in drams], axis=1
+                ).cumsum(axis=1)[:, -1]
             pb.block = row
 
 
@@ -609,11 +567,26 @@ class PopulationGroupState:
             GroupSession(ceval, core.ctx, core.bu) for _ in lmss
         ]
         self.buf = np.zeros((core.nb, self.n_slots, ceval.lanes))
-        # Fresh sessions stage every block: one batched pass builds all
-        # walkers' initial states.
-        cands = list(enumerate(lmss))
-        for (w, _), st in zip(cands, self._stage(cands, stored_ats)):
-            self.sessions[w].commit(st)
+        # Fresh sessions stage every block.  Walkers holding the same
+        # LMS object and the same placements of the group's cross-group
+        # producers have identical states: stage one representative
+        # per class in one batched pass, and let the rest of the class
+        # share its committed state (sessions copy on write) and rows.
+        classes: dict[tuple, list[int]] = {}
+        for w, lms in enumerate(lmss):
+            places = stored_ats[w]
+            key = (id(lms), tuple(
+                places.get(nm, INTERLEAVED)
+                for names in core.ctx.ext_names for nm in names
+            ))
+            classes.setdefault(key, []).append(w)
+        members = list(classes.values())
+        reps = [(ws[0], lmss[ws[0]]) for ws in members]
+        for ws, st in zip(members, self._stage(reps, stored_ats)):
+            for w in ws:
+                self.sessions[w].commit(st)
+            if len(ws) > 1:
+                self.buf[:, ws[1:]] = self.buf[:, ws[:1]]
 
     def _stage(self, cands, stored_ats) -> list[StagedCandidate]:
         """Stage one candidate per walker, build the rebuilt blocks in

@@ -5,7 +5,7 @@ tables.  Lowering is split by what actually determines each piece:
 
 * :class:`PartRec` — everything a layer's **partition** determines
   (region tables, per-part intra-core schedules and their aggregates,
-  requirement regions, weight-slice grouping, DRAM-input volumes).
+  requirement regions, per-K-slice weight bytes, DRAM-input volumes).
   Keyed by ``(layer, partition, batch_unit)``: the three SA operators
   that only permute core groups or re-draw FD selectors (OP2/OP3/OP5)
   reuse it untouched.
@@ -22,9 +22,10 @@ object path uses, and folded + finalized there by the one batched core
 N=1 call).  Results are **bit-identical** to the object path (asserted
 over the whole model zoo in ``tests/test_compiled_identity.py``).  The
 core is fabric-agnostic: it consumes only the
-:class:`~repro.fabric.Topology` surface (padded route tables, link
-arrays, multicast trees), so every registered interconnect — mesh,
-folded torus, concentrated mesh, ring — runs through the same path.
+:class:`~repro.fabric.Topology` surface (padded route tables and link
+arrays; multicast trees are unions of DRAM routes, packed as bitsets),
+so every registered interconnect — mesh, folded torus, concentrated
+mesh, ring — runs through the same path.
 
 :class:`GroupSession` is one SA walker's accepted state of one layer
 group.  A proposal rebuilds only the per-layer blocks an operator move
@@ -53,7 +54,7 @@ from repro.intracore.dataflow import CoreWorkload
 from repro.perf import LruDict
 from repro.workloads.layer import LayerType
 
-from repro.compiled.graph import CompiledGraph, as_index_table
+from repro.compiled.graph import CompiledGraph, as_index_table, stacked_offsets
 
 
 @dataclass
@@ -63,8 +64,11 @@ class PartRec:
     ``regions`` rows are ``(h_lo, h_hi, w_lo, w_hi, b_lo, b_hi, k_lo,
     k_hi)`` in numerical-ID (Correspondence Rule) order; the float
     arrays hold the intra-core schedule outputs traffic analysis
-    consumes; ``weight_slices`` groups parts sharing a K-slice (the
-    multicast units) as ``(bytes incl. refetch, part indices)``;
+    consumes; ``weight_vols`` holds, per K-slice (the multicast units),
+    the stationary bytes incl. refetch — slice ``kk`` owns parts ``kk,
+    kk + pk, ...`` since k cycles fastest in NID order;
+    ``weight_streamed`` masks the slices too big to stay resident in
+    half the GLB (``None`` when every slice is resident);
     ``out_volumes`` are per-part ofmap bytes; ``needs`` / ``dram_in``
     lazily memoize per-input requirement regions and DRAM-read volumes.
     """
@@ -76,7 +80,8 @@ class PartRec:
     compute: float
     energy: float
     fits: bool
-    weight_slices: tuple | None
+    weight_vols: np.ndarray | None
+    weight_streamed: np.ndarray | None
     out_volumes: np.ndarray
     needs: dict
     dram_in: dict
@@ -88,14 +93,13 @@ class CompiledLayer:
 
     ``dram_plans`` lazily memoizes :meth:`CompiledEval.dram_plan` per
     ``(FD selector, input index or None for the ofmap write)``: the
-    padded route indices and repeat counts of the cores' DRAM routes,
-    so repeated scatters skip the route-table gather and only pay the
-    bincount.
+    stacked route indices and repeat counts of the cores' DRAM routes
+    over every FD target, so repeated scatters skip the route-table
+    gather and only pay the bincount.
     """
 
     rec: PartRec
     cores: np.ndarray
-    cores_list: list[int]
     dram_plans: dict
 
 
@@ -164,8 +168,10 @@ class CompiledEval:
         self.self_blocks = LruDict(32768, name="compiled.self")
         self.pair_geom = LruDict(32768, name="compiled.pairs")
         self.slice_flows = LruDict(16384, name="compiled.slices")
-        self._trees = LruDict(65536)
         self._group_ctx: dict[tuple[str, ...], _GroupCtx] = {}
+        # Plain attributes: ArchConfig.n_cores is a property.
+        self.n_cores = n_cores = evaluator.arch.n_cores
+        self.glb_half = evaluator.arch.glb_bytes / 2
         # A traffic block is one row of ``lanes`` floats: per-link
         # volumes, per-DRAM reads, writes and once-per-inference weight
         # loads, then the weight-tree hop bytes.  All-zero parts are
@@ -181,6 +187,36 @@ class CompiledEval:
         self.i_hop = n_links + 3 * n_dram
         table, self.core_lens = topo.core_route_table()
         self.core_table = as_index_table(table)
+        to_d, to_l, from_d, from_l = topo.dram_route_tables()
+        n_rows = n_cores * n_dram
+        # Row ``dram * n_cores + core``: the DRAM -> core route's links
+        # as a bitset in 64-bit words, so a multicast tree (the union of
+        # its destinations' routes) is a bitwise OR, its size a popcount.
+        # Packed per DRAM: the transient matrix stays cores x links.
+        width = -(-n_links // 64) * 64
+        packed = np.empty((n_dram, n_cores, width // 8), dtype=np.uint8)
+        member = np.empty((n_cores, width + 1), dtype=bool)
+        for d in range(n_dram):
+            member[:] = False  # rows core * n_dram + d; -1 pads: last
+            member[np.arange(n_cores)[:, None], from_d[d::n_dram]] = True
+            packed[d] = np.packbits(member[:, :width], 1, bitorder="little")
+        self.route_words = packed.reshape(n_rows, -1).view(np.uint64)
+        # ``(table, stacked, lens)`` per direction (write, read), rows
+        # ``core * n_dram + dram``: ``stacked`` offsets valid entries by
+        # ``dram * n_links`` — interleaving targets DRAM t as target t.
+        offsets = stacked_offsets(n_dram, n_links)[np.arange(n_rows) % n_dram]
+        self._dram_tables = []
+        for table, lens in ((to_d, to_l), (from_d, from_l)):
+            table = as_index_table(table)
+            stacked = np.where(table >= 0, table + offsets[:, None], -1)
+            self._dram_tables.append((table, stacked, lens))
+        #: ``(DRAM indices, shares)`` per FD selector 0..n_dram, as
+        #: arrays in :func:`_dram_targets` order.
+        self.fd_targets = [
+            (np.array([dram[1] for dram, _ in ts], dtype=np.int64),
+             np.array([share for _, share in ts]))
+            for ts in (_dram_targets(topo, fd) for fd in range(n_dram + 1))
+        ]
         #: The shared all-zero block of weightless layers with
         #: implicitly managed ofmaps (MATMUL, VECTOR, mid-group
         #: POOL/ELTWISE).
@@ -217,7 +253,7 @@ class CompiledEval:
                 scheme.core_group, dtype=np.int64,
                 count=scheme.part.n_parts,
             )
-            rec = CompiledLayer(part, cores, list(scheme.core_group), {})
+            rec = CompiledLayer(part, cores, {})
             self.layers.put(key, rec)
         return rec
 
@@ -315,7 +351,7 @@ class CompiledEval:
             [res.w_fetches for res in results], dtype=np.float64
         )
 
-        weight_slices = None
+        weight_vols = weight_streamed = None
         if cg.has_weights[lid]:
             # Stationary-operand bytes (CoreWorkload.weight_bytes),
             # grouped by K-slice: cores sharing a slice receive the
@@ -328,12 +364,10 @@ class CompiledEval:
             wb = (
                 ext[:, 3] * np.maximum(1, c // grp) * (r * s * bpe)
             ).astype(np.float64)
-            vols = (wb * w_fetches).reshape(-1, pk).max(axis=0).tolist()
-            # Slice kk's parts are cores_list[kk::pk]; store the stride
-            # so the self-block builder can gather them with one slice.
-            weight_slices = tuple(
-                (vols[kk], kk, pk) for kk in range(pk)
-            )
+            weight_vols = (wb * w_fetches).reshape(-1, pk).max(axis=0)
+            streamed = weight_vols > self.glb_half
+            if streamed.any():
+                weight_streamed = streamed
 
         return PartRec(
             lid=lid,
@@ -345,7 +379,8 @@ class CompiledEval:
             compute=compute,
             energy=energy,
             fits=fits,
-            weight_slices=weight_slices,
+            weight_vols=weight_vols,
+            weight_streamed=weight_streamed,
             out_volumes=(
                 ext[:, 0] * ext[:, 1] * ext[:, 2] * ext[:, 3] * bpe
             ).astype(np.float64),
@@ -452,60 +487,51 @@ class CompiledEval:
                 out.append(None)
         return tuple(out)
 
-    def _tree_links(self, dram, cores: tuple[int, ...]) -> tuple:
-        """``(link index array, size)`` of the dram -> cores multicast
-        tree.
-
-        Keyed by core *indices* (int-tuple hashing beats node-tuple
-        hashing in the hot loop); the tree is the union of the
-        deterministic per-core routes (:mod:`repro.noc.multicast`
-        semantics) gathered from the padded route tables, so both
-        paths agree on the link set.  Scatter targets are unique within
-        a tree, so adds through the int64 link array are value-identical
-        to per-link adds.
-        """
-        key = (dram, cores)
-        got = self._trees.get_lru(key)
-        if got is None:
-            from_d = self.topo.dram_route_tables()[2]
-            rows = (
-                np.fromiter(cores, dtype=np.int64, count=len(cores))
-                * self.n_dram + dram[1]
-            )
-            padded = from_d[rows]
-            links = np.unique(padded[padded >= 0])
-            got = (links.astype(np.int64, copy=False), int(links.size))
-            self._trees.put(key, got)
-        return got
+    def weight_trees(self, layer: CompiledLayer,
+                     d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(bitsets, link counts)`` of every K-slice's multicast tree
+        from every DRAM target in ``d``, ``(pk, T, ...)``: one gather,
+        one OR-reduce and one popcount for the whole layer."""
+        pk = len(layer.rec.weight_vols)
+        rows = d[:, None] * self.n_cores + layer.cores
+        words = np.bitwise_or.reduce(
+            self.route_words.take(rows.reshape(len(d), -1, pk), axis=0),
+            axis=1,
+        ).transpose(1, 0, 2)
+        sizes = np.add.reduce(np.bitwise_count(words), axis=2,
+                              dtype=np.int64)
+        return words, sizes
 
     def dram_plan(self, layer: CompiledLayer, fd: int,
-                  op_idx: int | None = None) -> list:
-        """The route gather of one core<->DRAM scatter, per FD target.
+                  op_idx: int | None = None) -> tuple:
+        """The route gather of one core<->DRAM scatter, for every FD
+        target at once.
 
         ``op_idx=None`` plans the ofmap write from every part; an input
         index plans that input's DRAM read into the parts that need it
-        (callers check :meth:`_dram_in` first).  Entries are ``(dram
-        index, share, valid link indices, per-part repeat counts)``:
-        a scatter is then one bincount over the same index array with
-        weights in the same order as :func:`dram_scatter_batch`, so the
-        memoized plan changes no bits.
+        (callers check :meth:`_dram_in` first).  The plan is ``(DRAM
+        indices, shares, link indices, repeat counts)``, target-major:
+        target ``t``'s link indices are offset by ``t * n_links``, so
+        one bincount over ``T`` segments scatters every target, each
+        segment with weights in the order :func:`dram_scatter_batch`
+        feeds that target's own bincount — the memoized plan changes no
+        bits.
         """
         key = (fd, op_idx)
         plan = layer.dram_plans.get(key)
         if plan is None:
-            topo, n_dram = self.topo, self.n_dram
-            to_d, to_l, from_d, from_l = topo.dram_route_tables()
             if op_idx is None:
-                cores, table, lens = layer.cores, to_d, to_l
+                cores = layer.cores
+                table, stacked, lens = self._dram_tables[0]
             else:
-                idx = self._dram_in(layer.rec, op_idx)[0]
-                cores, table, lens = layer.cores[idx], from_d, from_l
-            plan = []
-            for dram, share in _dram_targets(topo, fd):
-                d = dram[1]
-                rows = cores * n_dram + d
-                padded = table[rows].ravel()
-                plan.append((d, share, padded[padded >= 0], lens[rows]))
+                cores = layer.cores[self._dram_in(layer.rec, op_idx)[0]]
+                table, stacked, lens = self._dram_tables[1]
+            d, shares = self.fd_targets[fd]
+            if len(d) > 1:
+                table = stacked
+            rows = (cores * self.n_dram + d[:, None]).ravel()
+            padded = table.take(rows, axis=0)
+            plan = (d, shares, padded[padded >= 0], lens.take(rows))
             layer.dram_plans[key] = plan
         return plan
 

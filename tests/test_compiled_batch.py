@@ -10,11 +10,13 @@ the population/tempering SA semantics built on top and the int64
 guards in the table builders.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.arch import g_arch, s_arch
-from repro.compiled.batch import evaluate_population
+from repro.compiled.batch import PopulationGroupState, evaluate_population
 from repro.compiled.graph import (
     MAX_STACKED_LANES,
     as_index_table,
@@ -23,6 +25,7 @@ from repro.compiled.graph import (
 from repro.core import SAController, SASettings
 from repro.core.graphpart import partition_graph
 from repro.core.initial import initial_lms
+from repro.core.operators import op2_swap_within_layer
 from repro.evalmodel import Evaluator
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer, LayerType
@@ -104,6 +107,92 @@ class TestBatchIdentity:
         for j, p in enumerate(perm):
             assert_group_evals_equal(shuffled[j], base[p], f"slot {j}")
 
+
+
+class TestIdenticalWalkerStaging:
+    """Walkers starting from one LMS object and one placement of the
+    group's cross-group producers are staged once and share that state;
+    every walker still ends up exactly where separate staging puts it."""
+
+    @staticmethod
+    def _tf_group():
+        graph = build("TF")
+        arch = g_arch()
+        groups = partition_graph(graph, arch, batch=8)
+        lmss = [initial_lms(graph, g, arch) for g in groups]
+        return graph, arch, max(lmss, key=lambda m: len(m.group))
+
+    def test_move_of_one_walker_leaves_the_others(self):
+        graph, arch, lms = self._tf_group()
+        ev = Evaluator(arch)
+        oracle = Evaluator(arch, cache=False)
+        state = PopulationGroupState(
+            ev.compiled_for(graph), [lms] * 4, 8, [{} for _ in range(4)]
+        )
+        first = state.sessions[0]
+        assert all(s.input_blocks is first.input_blocks
+                   for s in state.sessions)
+        before = state.buf.copy()
+        assert (before[:, 1:] == before[:, :1]).all()
+        rng = random.Random(5)
+        cand = None
+        while cand is None:
+            cand = op2_swap_within_layer(graph, lms, rng)
+        bp = state.propose([(0, cand)], [{} for _ in range(4)])
+        state.resolve(bp, [True])
+        assert not (state.buf[:, 0] == before[:, 0]).all()
+        assert (state.buf[:, 1:] == before[:, 1:]).all()
+        evals = state.evaluate_current()
+        assert_group_evals_equal(
+            evals[0], oracle.evaluate_group(graph, cand, 8, {}), "moved"
+        )
+        start = oracle.evaluate_group(graph, lms, 8, {})
+        for w in (1, 2, 3):
+            assert state.sessions[w].schemes[0] is lms.scheme(
+                lms.group.layers[0])
+            assert_group_evals_equal(evals[w], start, f"walker {w}")
+        # A rejected move of a sharing walker restores its own rows.
+        bp = state.propose([(2, cand)], [{} for _ in range(4)])
+        state.resolve(bp, [False])
+        assert (state.buf[:, 1:] == before[:, 1:]).all()
+
+    def test_mixed_classes_equal_separate_staging(self):
+        graph = build("RN-50")
+        arch = g_arch()
+        groups = partition_graph(graph, arch, batch=4)
+        lmss = [initial_lms(graph, g, arch) for g in groups]
+        first, second = lmss[0], lmss[1]
+        placed = _stored_for(first, {})
+        moved = {name: 1 for name in placed}
+        assert moved != placed
+        rng = random.Random(9)
+        other = None
+        while other is None:
+            other = op2_swap_within_layer(graph, second, rng)
+        # Classes: (second, placed) x3 — one with an irrelevant extra
+        # placement — (other, placed), (second, moved), (other, moved).
+        walkers = [
+            (second, placed), (second, dict(placed)), (other, placed),
+            (second, moved), (other, dict(moved)),
+            (second, {**placed, "not-in-this-graph": 2}),
+        ]
+        ceval = Evaluator(arch).compiled_for(graph)
+        state = PopulationGroupState(
+            ceval, [w[0] for w in walkers], 4, [w[1] for w in walkers]
+        )
+        sessions = state.sessions
+        assert sessions[1].input_blocks is sessions[0].input_blocks
+        assert sessions[5].input_blocks is sessions[0].input_blocks
+        assert len({id(s.input_blocks) for s in sessions}) == 4
+        evals = state.evaluate_current()
+        for w, (lms, stored) in enumerate(walkers):
+            alone = PopulationGroupState(
+                Evaluator(arch).compiled_for(graph), [lms], 4, [stored]
+            )
+            assert (state.buf[:, w] == alone.buf[:, 0]).all(), w
+            assert_group_evals_equal(
+                evals[w], alone.evaluate_current()[0], f"walker {w}"
+            )
 
 
 class TestPopulationSA:
