@@ -276,7 +276,7 @@ def test_fault_overhead_guard(tf_model):
     lmss = [initial_lms(graph, g, arch) for g in groups]
 
     # Dormant seams: module-global None checks (identical shape to the
-    # real sites in explorer._evaluate_in_worker and store.put).
+    # real sites in pool._run_in_worker and store.put).
     class _Seam:
         __slots__ = ("hook",)
 
@@ -295,7 +295,8 @@ def test_fault_overhead_guard(tf_model):
     checks_per_candidate = 3  # 1 eval hook + ~2 put hooks
 
     # Armed supervision bookkeeping, per fault-free candidate: what
-    # CampaignRunner._run_pool adds over the old fire-and-forget map.
+    # the supervised dispatcher (repro.dse.pool.run_tasks) adds over a
+    # fire-and-forget map.
     policy = RetryPolicy(max_attempts=3, timeout_s=300.0)
     inflight = {}
     n_sup = 200_000

@@ -30,7 +30,7 @@ from repro.campaign.keys import (
     settings_digest,
     workload_digest,
 )
-from repro.campaign.faults import RetryPolicy
+from repro.campaign.faults import CandidateTimeout, RetryPolicy, WorkerCrashed
 from repro.campaign.fsck import FsckReport, fsck_store
 from repro.campaign.runner import (
     CampaignError,
@@ -38,8 +38,6 @@ from repro.campaign.runner import (
     CampaignReport,
     CampaignRunner,
     CampaignSpec,
-    CandidateTimeout,
-    WorkerCrashed,
     campaign_status,
     export_campaign,
 )

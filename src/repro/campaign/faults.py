@@ -1,12 +1,15 @@
-"""Fault-handling policy for campaign execution.
+"""Fault-handling policy and errors of the supervised dispatcher.
 
-A :class:`RetryPolicy` describes how the supervised campaign runner
-reacts when evaluating one candidate goes wrong: how many attempts a
-candidate gets before it is quarantined as *poison*, how long a single
-attempt may run before it is declared hung, and how re-dispatches are
-spaced (exponential backoff with deterministic, seeded jitter — two
-runs of the same campaign retry at the same offsets, so fault-recovery
-paths stay as reproducible as the evaluations themselves).
+A :class:`RetryPolicy` describes how the dispatcher
+(:func:`repro.dse.pool.run_tasks`) reacts when one task — a campaign or
+DSE candidate, a sweep scenario — goes wrong: how many attempts a task
+gets before it is finalized (a campaign quarantines a crash or timeout
+as *poison*), how long a single attempt may run before it is declared
+hung, and how re-dispatches are spaced (exponential backoff with
+deterministic, seeded jitter — two runs of the same campaign retry at
+the same offsets, so fault-recovery paths stay as reproducible as the
+evaluations themselves).  ``explore`` and ``run_sweep`` run under the
+default policy; ``campaign run`` takes one from its options.
 
 The policy also covers the runner's *store* writes: a transient
 ``OSError`` on a checkpoint put (ENOSPC, EIO) is retried a few times
@@ -25,14 +28,22 @@ class FaultPolicyError(ReproError):
     """A retry/timeout policy is malformed."""
 
 
+class WorkerCrashed(ReproError):
+    """A pool worker died (SIGKILL, OOM, segfault) mid-evaluation."""
+
+
+class CandidateTimeout(ReproError):
+    """An evaluation attempt exceeded the policy deadline."""
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the campaign runner treats per-candidate faults.
+    """How the dispatcher treats per-task faults.
 
-    The default policy (one attempt, no timeout) keeps today's
-    semantics — a crash or error fails the candidate immediately — but
-    still buys supervision: a dead worker no longer kills the campaign,
-    and checkpoint puts retry transient store errors.
+    The default policy (one attempt, no timeout) fails a crashed or
+    erroring task immediately but still buys supervision: a dead worker
+    no longer takes the campaign, DSE or sweep down with it, and
+    campaign checkpoint puts retry transient store errors.
     """
 
     #: Evaluation attempts per candidate before it is finalized (as a

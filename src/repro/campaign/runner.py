@@ -24,20 +24,12 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.arch.params import ArchConfig
 from repro.campaign import keys as ck
-from repro.campaign.faults import (
-    CAUSE_CRASH,
-    CAUSE_ERROR,
-    CAUSE_TIMEOUT,
-    RetryPolicy,
-)
+from repro.campaign.faults import CAUSE_ERROR, RetryPolicy
 from repro.campaign.store import (
     KIND_CANDIDATE,
     KIND_MAPPING,
@@ -48,6 +40,7 @@ from repro.dse.explorer import (
     CandidateResult,
     DesignSpaceExplorer,
     Workload,
+    evaluate_task,
 )
 from repro.dse.objective import OBJECTIVE_MCED, Objective
 from repro.dse.pareto import AXES, pareto_front
@@ -76,14 +69,6 @@ class CampaignInterrupted(ReproError):
     Everything evaluated before the interruption is already durable in
     the store; re-running the campaign resumes from there.
     """
-
-
-class WorkerCrashed(ReproError):
-    """A pool worker died (SIGKILL, OOM, segfault) mid-evaluation."""
-
-
-class CandidateTimeout(ReproError):
-    """An evaluation attempt exceeded the policy deadline."""
 
 
 @dataclass
@@ -357,8 +342,7 @@ class CampaignRunner:
         return len(times), mean, var
 
     def _checkpoint(self, index: int, arch: ArchConfig,
-                    result: CandidateResult,
-                    shard: int | None = None) -> None:
+                    result: CandidateResult, shard: int) -> None:
         policy = self._policy or RetryPolicy()
         for put_attempt in range(1, policy.store_attempts + 1):
             try:
@@ -396,14 +380,13 @@ class CampaignRunner:
                 duration_s=result.wall_time_s,
                 warm_started=result.warm_started,
                 attempts=result.attempts,
-                shard=os.getpid() if shard is None else shard,
+                shard=shard,
                 restarts=restarts,
                 restart_mean_s=mean,
                 restart_var_s=var,
             )
 
-    def _record_failure(self, index: int, error: Exception,
-                        shard: int | None = None) -> None:
+    def _record_failure(self, index: int, error: Exception) -> None:
         self.store.record_failure(
             KIND_CANDIDATE, self.candidate_keys[index],
             f"{type(error).__name__}: {error}",
@@ -416,7 +399,7 @@ class CampaignRunner:
                 key=self.candidate_keys[index],
                 error=f"{type(error).__name__}: {error}",
                 digest=failure_digest(error),
-                shard=os.getpid() if shard is None else shard,
+                shard=os.getpid(),
             )
 
     def _record_quarantine(self, index: int, error: Exception,
@@ -441,19 +424,19 @@ class CampaignRunner:
                 shard=os.getpid(),
             )
 
-    def _emit_retry(self, index: int, cause: str, attempt: int,
-                    delay: float) -> None:
-        PERF.add("campaign.retries")
-        if self._ledger is not None:
-            self._ledger.emit(
-                "candidate_retried",
-                index=index,
-                key=self.candidate_keys[index],
-                cause=cause,
-                attempt=attempt,
-                delay_s=delay,
-                shard=os.getpid(),
-            )
+    def _on_event(self, event: str, **fields) -> None:
+        """Record a dispatcher supervision event: ``PERF`` counters and
+        the ledger, where a task is a candidate and carries its key."""
+        if event == "task_retried":
+            PERF.add("campaign.retries")
+            event, fields["shard"] = "candidate_retried", os.getpid()
+        elif event == "task_timeout":
+            PERF.add("campaign.timeouts")
+            event = "candidate_timeout"
+        if "index" in fields:
+            fields = {"index": fields["index"],
+                      "key": self.candidate_keys[fields["index"]], **fields}
+        self._ledger.emit(event, **fields)
 
     def run(
         self,
@@ -478,8 +461,10 @@ class CampaignRunner:
         the run.  A timeout policy or a chaos plan forces the
         supervised pool path even for one worker — deadlines are
         enforced on futures, and injected worker crashes must not take
-        the parent process down.
+        the parent process down.  Evaluation runs through the
+        supervised dispatcher, :func:`repro.dse.pool.run_tasks`.
         """
+        from repro.dse.pool import run_tasks
         from repro.obs.trace import trace
 
         policy = policy or RetryPolicy()
@@ -493,11 +478,29 @@ class CampaignRunner:
         if workers is None:
             workers = os.cpu_count() or 1
         workers = max(1, min(workers, len(todo) or 1))
-        tasks = [(i, arch, self._warm_for(i)) for i, arch in todo]
-        use_pool = bool(tasks) and (
-            workers > 1 or policy.needs_supervision or chaos is not None
-        )
+        tasks = [(i, evaluate_task, (arch, self._warm_for(i)))
+                 for i, arch in todo]
         completed = failed = 0
+
+        def checkpoint(i, result, attempt, pid) -> None:
+            nonlocal completed
+            result.attempts = attempt
+            self._checkpoint(i, self.spec.candidates[i], result, shard=pid)
+            completed += 1
+            if fail_after is not None and completed >= fail_after:
+                raise CampaignInterrupted(
+                    f"fault injection after {completed} candidates"
+                )
+
+        def record_failure(i, error, attempts, cause) -> None:
+            nonlocal failed
+            if cause == CAUSE_ERROR:
+                self._record_failure(i, error)
+            else:
+                self._record_quarantine(i, error, attempts=attempts,
+                                        cause=cause)
+            failed += 1
+
         self._ledger = RunLedger(self.ledger_path())
         self._ledger.emit(
             "run_resumed" if self.resumed else "run_started",
@@ -513,16 +516,16 @@ class CampaignRunner:
         if chaos is not None:
             chaos.install()
         try:
+            # The pool lives on the explorer and survives this call:
+            # resumed runs, multi-campaign sessions and the store-hit /
+            # pending split all dispatch into already-warm workers.
             with trace("campaign.run", campaign=self.spec.name,
                        pending=len(todo), workers=workers):
-                if use_pool:
-                    completed, failed = self._run_pool(
-                        tasks, workers, fail_after, policy
-                    )
-                else:
-                    completed, failed = self._run_serial(
-                        tasks, fail_after, policy
-                    )
+                run_tasks(
+                    tasks, workers, checkpoint, on_failure=record_failure,
+                    on_event=self._on_event, policy=policy,
+                    explorer=self.explorer, keys=self.candidate_keys,
+                )
             outcome = "run_finished"
         finally:
             if chaos is not None:
@@ -550,273 +553,6 @@ class CampaignRunner:
             self.resumed = True
         return self.report(evaluated=completed, store_hits=hits,
                            failed=failed)
-
-    def _run_serial(self, tasks, fail_after: int | None,
-                    policy: RetryPolicy) -> tuple[int, int]:
-        """In-process evaluation with retries (no deadlines possible)."""
-        completed = failed = 0
-        for i, arch, warm in tasks:
-            key = self.candidate_keys[i]
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    result = self.explorer.evaluate_candidate(
-                        arch, index=i, warm=warm
-                    )
-                except ReproError as exc:
-                    if attempt >= policy.max_attempts:
-                        self._record_failure(i, exc)
-                        failed += 1
-                        break
-                    delay = policy.delay_s(key, attempt + 1)
-                    self._emit_retry(i, CAUSE_ERROR, attempt + 1, delay)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                result.attempts = attempt
-                self._checkpoint(i, arch, result)
-                completed += 1
-                break
-            if fail_after is not None and completed >= fail_after:
-                raise CampaignInterrupted(
-                    f"fault injection after {completed} candidates"
-                )
-        return completed, failed
-
-    def _run_pool(self, tasks, workers: int, fail_after: int | None,
-                  policy: RetryPolicy) -> tuple[int, int]:
-        """Shard ``tasks`` over the persistent pool under supervision.
-
-        The pool lives on the explorer and survives this call: resumed
-        runs, multi-campaign sessions and the store-hit/pending split
-        all dispatch into already-warm workers (fork-inherited compiled
-        tables) instead of respawning per run.
-
-        Supervision invariants:
-
-        * at most ``workers`` tasks are in flight, so a worker death
-          has a bounded casualty list;
-        * a break with exactly *one* task in flight unambiguously
-          attributes the crash; with several, every casualty moves to a
-          *probe* queue and is re-dispatched solo — the next crash
-          identifies the culprit, and innocents are never penalized;
-        * a task whose deadline expires is attributed a timeout (the
-          hung worker is killed by the respawn) and other in-flight
-          tasks are re-queued as collateral, no fault charged;
-        * a candidate whose *attributed* crash/timeout count reaches
-          ``policy.max_attempts`` is quarantined as poison; plain
-          evaluation errors exhaust into an ordinary retryable failure
-          record.
-        """
-        completed = failed = 0
-        pool = self.explorer.pool(workers)
-        # fault counts (attributed) per candidate index; the dispatch
-        # attempt number is faults+1, so injected chaos faults key on a
-        # deterministic attempt sequence even across collateral
-        # re-dispatches (which charge no fault).
-        faults: dict[int, int] = {}
-        cause_of: dict[int, str] = {}
-        pending = deque(tasks)
-        probes: deque = deque()
-        delayed: list[tuple[float, tuple, bool]] = []
-        inflight: dict = {}
-
-        def dispatch(task, probe: bool) -> None:
-            i = task[0]
-            attempt = faults.get(i, 0) + 1
-            try:
-                fut = pool.submit((task[0], task[1], task[2], attempt))
-            except BrokenProcessPool:
-                # A worker died while the executor sat idle (detected
-                # at submit, not through a future).  Nobody's fault:
-                # respawn and dispatch again.
-                pool.respawn()
-                if self._ledger is not None:
-                    self._ledger.emit("pool_respawned",
-                                      workers=pool.workers)
-                fut = pool.submit((task[0], task[1], task[2], attempt))
-            deadline = (
-                time.monotonic() + policy.timeout_s
-                if policy.timeout_s is not None else None
-            )
-            inflight[fut] = (task, attempt, deadline, probe)
-
-        def requeue(task, cause: str, probe: bool) -> bool:
-            """Charge one fault; re-dispatch or finalize.  Returns True
-            when the candidate was finalized (quarantine/failure)."""
-            i = task[0]
-            faults[i] = faults.get(i, 0) + 1
-            cause_of[i] = cause
-            if faults[i] >= policy.max_attempts:
-                if cause == CAUSE_CRASH:
-                    err: Exception = WorkerCrashed(
-                        f"candidate {i} killed its worker "
-                        f"{faults[i]} time(s)"
-                    )
-                elif cause == CAUSE_TIMEOUT:
-                    err = CandidateTimeout(
-                        f"candidate {i} exceeded the {policy.timeout_s}s "
-                        f"deadline {faults[i]} time(s)"
-                    )
-                else:  # pragma: no cover - errors finalize at the caller
-                    err = ReproError(f"candidate {i} failed")
-                self._record_quarantine(
-                    i, err, attempts=faults[i], cause=cause
-                )
-                return True
-            delay = policy.delay_s(self.candidate_keys[i], faults[i] + 1)
-            self._emit_retry(i, cause, faults[i] + 1, delay)
-            if delay > 0:
-                delayed.append((time.monotonic() + delay, task, probe))
-            elif probe:
-                probes.append(task)
-            else:
-                pending.appendleft(task)
-            return False
-
-        def handle_break(casualties: list) -> int:
-            """One or more workers died; attribute, re-queue, respawn."""
-            nonlocal failed
-            PERF.add("dse.pool.worker_deaths")
-            if self._ledger is not None:
-                self._ledger.emit(
-                    "worker_died",
-                    casualties=[t[0] for t, _, _, _ in casualties],
-                    probing=len(casualties) > 1,
-                )
-            quarantined_now = 0
-            if len(casualties) == 1:
-                task, _, _, probe = casualties[0]
-                if requeue(task, CAUSE_CRASH, probe=True):
-                    quarantined_now += 1
-            else:
-                # Ambiguous: any of them may be the poison one.  No
-                # fault is charged; each goes to the probe queue and
-                # runs solo so the next crash is attributable.
-                for task, _, _, _ in casualties:
-                    probes.append(task)
-            pool.respawn()
-            if self._ledger is not None:
-                self._ledger.emit("pool_respawned", workers=pool.workers)
-            return quarantined_now
-
-        while pending or probes or delayed or inflight:
-            now = time.monotonic()
-            # Promote backoff-expired tasks.
-            still: list[tuple[float, tuple, bool]] = []
-            for ready_at, task, probe in delayed:
-                if ready_at <= now:
-                    (probes if probe else pending).append(task)
-                else:
-                    still.append((ready_at, task, probe))
-            delayed[:] = still
-
-            # Dispatch: probe tasks run strictly solo; otherwise fill
-            # the in-flight window up to the worker count.
-            if probes:
-                if not inflight:
-                    dispatch(probes.popleft(), probe=True)
-            else:
-                while pending and len(inflight) < workers:
-                    dispatch(pending.popleft(), probe=False)
-
-            if not inflight:
-                if delayed:
-                    time.sleep(
-                        max(0.0, min(r for r, _, _ in delayed)
-                            - time.monotonic())
-                    )
-                continue
-
-            # Wait bounded by the nearest deadline or backoff expiry.
-            timeout = None
-            deadlines = [d for _, _, d, _ in inflight.values()
-                         if d is not None]
-            bounds = deadlines + [r for r, _, _ in delayed]
-            if bounds:
-                timeout = max(0.05, min(bounds) - time.monotonic())
-            done, _ = wait(
-                inflight.keys(), timeout=timeout,
-                return_when=FIRST_COMPLETED,
-            )
-
-            # Checkpoint the whole finished batch before anything else —
-            # results that already exist must never be thrown away.
-            broke = False
-            casualties: list = []
-            for fut in done:
-                task, attempt, _, probe = inflight.pop(fut)
-                i, arch, _ = task
-                try:
-                    result, snapshot = fut.result()
-                except BrokenProcessPool:
-                    broke = True
-                    casualties.append((task, attempt, None, probe))
-                    continue
-                except ReproError as exc:
-                    faults_now = faults.get(i, 0) + 1
-                    if faults_now >= policy.max_attempts:
-                        faults[i] = faults_now
-                        self._record_failure(i, exc)
-                        failed += 1
-                    else:
-                        requeue(task, CAUSE_ERROR, probe)
-                    continue
-                PERF.merge(snapshot)
-                result.attempts = attempt
-                self._checkpoint(i, arch, result,
-                                 shard=snapshot.get("pid"))
-                completed += 1
-
-            if broke:
-                # Every other in-flight future is broken too.
-                casualties.extend(inflight.values())
-                inflight.clear()
-                failed += handle_break(casualties)
-            elif policy.timeout_s is not None:
-                now = time.monotonic()
-                expired = [
-                    (fut, flight) for fut, flight in inflight.items()
-                    if flight[2] is not None and flight[2] <= now
-                ]
-                if expired:
-                    # The hung workers only die with the respawn; the
-                    # rest of the in-flight tasks are collateral and
-                    # re-queue without a fault charge.
-                    expired_futs = {fut for fut, _ in expired}
-                    collateral = [
-                        flight for fut, flight in inflight.items()
-                        if fut not in expired_futs
-                    ]
-                    inflight.clear()
-                    for _, (task, attempt, _, probe) in expired:
-                        PERF.add("campaign.timeouts")
-                        if self._ledger is not None:
-                            self._ledger.emit(
-                                "candidate_timeout",
-                                index=task[0],
-                                key=self.candidate_keys[task[0]],
-                                attempt=attempt,
-                                timeout_s=policy.timeout_s,
-                            )
-                        if requeue(task, CAUSE_TIMEOUT, probe):
-                            failed += 1
-                    for task, _, _, probe in collateral:
-                        (probes if probe else pending).appendleft(task)
-                    pool.respawn()
-                    if self._ledger is not None:
-                        self._ledger.emit(
-                            "pool_respawned", workers=pool.workers
-                        )
-
-            if fail_after is not None and completed >= fail_after:
-                for f in inflight:
-                    f.cancel()
-                raise CampaignInterrupted(
-                    f"fault injection after {completed} candidates"
-                )
-        return completed, failed
 
     # ------------------------------------------------------------------
     # Reporting

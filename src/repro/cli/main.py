@@ -259,6 +259,8 @@ def cmd_dse(args) -> int:
         candidates = candidates[: args.max_candidates]
     print(f"exploring {len(candidates)} candidates at {args.tops} TOPs "
           f"(SA x{args.iters}, {args.workers or 'all'} worker(s))")
+    from repro.errors import ReproError
+
     with DesignSpaceExplorer(
         [Workload(resolve_model(m), args.batch) for m in args.models],
         sa_settings=SASettings(iterations=args.iters,
@@ -266,7 +268,12 @@ def cmd_dse(args) -> int:
                                tempering=args.tempering),
         record_mappings=False,  # no store attached; keep IPC lean
     ) as explorer:
-        report = explorer.explore(candidates, workers=args.workers or None)
+        try:
+            report = explorer.explore(
+                candidates, workers=args.workers or None
+            )
+        except ReproError as exc:
+            raise SystemExit(str(exc)) from exc
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [list(candidate_result_summary(r).values())

@@ -111,55 +111,21 @@ def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-#: Worker-process state: the explorer shipped once via the pool
-#: initializer instead of once per submitted candidate.
-_WORKER_EXPLORER: "DesignSpaceExplorer | None" = None
-
 #: Fault-injection seam (chaos harness): when armed, called as
-#: ``hook(index, attempt)`` at the start of every worker evaluation.
-#: ``None`` in production — the cost of the dormant seam is one
-#: identity check per *candidate*, never per SA iteration.
+#: ``hook(index, attempt)`` at the start of every worker task (see
+#: :func:`repro.dse.pool.run_tasks`).  ``None`` in production — the
+#: cost of the dormant seam is one identity check per *task*, never per
+#: SA iteration.
 _EVAL_HOOK = None
 
 
-def _init_worker(explorer: "DesignSpaceExplorer") -> None:
-    global _WORKER_EXPLORER
-    _WORKER_EXPLORER = explorer
-
-
-def _evaluate_in_worker(args) -> tuple[CandidateResult, dict]:
-    """Evaluate one ``(index, arch[, warm[, attempt]])`` task.
-
-    Short tuples stay accepted for older call sites; ``attempt`` is the
-    parent-tracked 1-based attempt number the supervised runner ships
-    so injected faults (and retry provenance) key on it deterministically.
-    """
-    index, arch = args[0], args[1]
-    warm = args[2] if len(args) > 2 else None
-    attempt = args[3] if len(args) > 3 else 1
-    if _EVAL_HOOK is not None:
-        _EVAL_HOOK(index, attempt)
-    PERF.reset()  # process-local; each candidate ships its own delta
-    result = _WORKER_EXPLORER.evaluate_candidate(arch, index=index, warm=warm)
-    result.attempts = attempt
-    return result, PERF.snapshot()
-
-
-def _evaluate_chunk(chunk) -> list:
-    """Evaluate a chunk of tasks, capturing per-item failures.
-
-    Returns ``("ok", (result, snapshot))`` / ``("err", exception)``
-    pairs so one failing candidate cannot take its chunk-mates' already
-    computed results down with it (``Executor.map`` would fail the
-    whole chunk future).
-    """
-    out = []
-    for task in chunk:
-        try:
-            out.append(("ok", _evaluate_in_worker(task)))
-        except Exception as exc:  # noqa: BLE001 - shipped to the parent
-            out.append(("err", exc))
-    return out
+def evaluate_task(explorer: "DesignSpaceExplorer", index: int,
+                  arch: ArchConfig, warm: dict[str, list] | None = None
+                  ) -> CandidateResult:
+    """Dispatcher task body of candidate ``index``: task
+    ``(index, evaluate_task, (arch, warm))`` runs this in a worker (on
+    the pool's explorer) or in-process."""
+    return explorer.evaluate_candidate(arch, index=index, warm=warm)
 
 
 class DesignSpaceExplorer:
@@ -430,36 +396,10 @@ class DesignSpaceExplorer:
 
     # ------------------------------------------------------------------
 
-    def _explore_serial(self, tasks, on_result=None) -> list[CandidateResult]:
-        results = []
-        for i, a, w in tasks:
-            result = self.evaluate_candidate(a, index=i, warm=w)
-            results.append(result)
-            if on_result is not None:
-                on_result(i, a, result)
-        return results
-
-    def _explore_parallel(
-        self, tasks, workers: int, on_result=None
-    ) -> list[CandidateResult]:
-        results = []
-        pool = self.pool(workers)
-        # map_tasks yields lazily in task order, so results are handed
-        # to on_result (e.g. a store publish) as the ordered stream
-        # advances instead of after the whole batch.
-        outcomes = pool.map_tasks(tasks)
-        for (i, a, _), (result, snapshot) in zip(tasks, outcomes):
-            PERF.merge(snapshot)
-            results.append(result)
-            if on_result is not None:
-                on_result(i, a, result)
-        return results
-
     def explore(
         self,
         candidates: list[ArchConfig],
         workers: int | None = 1,
-        store=None,
         force_pool: bool = False,
     ) -> DseReport:
         """Explore every candidate; ``workers`` > 1 uses a process pool.
@@ -471,13 +411,14 @@ class DesignSpaceExplorer:
         candidate) are identical for any worker count; only
         ``wall_time_s`` depends on the machine.
 
-        With a :class:`~repro.campaign.store.ResultStore` attached,
-        candidates whose key is already stored are served from it
-        (``dse.store_hits``) and every fresh evaluation is published
-        back as soon as it is collected, so an interrupted exploration
-        re-run against the same store re-evaluates at most the
-        candidates that had not been checkpointed yet.
+        Candidates run through the supervised dispatcher
+        (:func:`repro.dse.pool.run_tasks`) under the default
+        ``RetryPolicy``: a crashed worker is contained and respawned,
+        every other candidate still completes, and then the first
+        failure in candidate order is raised as a ``ReproError`` naming
+        the candidate (``WorkerCrashed`` for a crash).
         """
+        from repro.dse.pool import run_tasks
         from repro.obs.trace import trace
 
         if not candidates:
@@ -485,36 +426,19 @@ class DesignSpaceExplorer:
         if workers is None:
             workers = os.cpu_count() or 1
         t0 = time.perf_counter()
+        results: list[CandidateResult | None] = [None] * len(candidates)
+
+        def collect(i, result, attempt, pid) -> None:
+            results[i] = result
+
         with PERF.time("dse.explore"), \
                 trace("dse.explore", candidates=len(candidates),
                       workers=workers):
-            slots: list[CandidateResult | None] = [None] * len(candidates)
-            if store is not None:
-                from repro.io.serialization import candidate_result_from_dict
-                from repro.campaign.store import KIND_CANDIDATE
-
-                for i, arch in enumerate(candidates):
-                    rec = store.get(KIND_CANDIDATE, self.candidate_key(arch, i))
-                    if rec is not None:
-                        slots[i] = candidate_result_from_dict(rec)
-                        PERF.add("dse.store_hits")
-            tasks = [
-                (i, arch, None)
-                for i, arch in enumerate(candidates)
-                if slots[i] is None
-            ]
-            def collect(i, arch, result):
-                slots[i] = result
-                if store is not None:
-                    self.publish(store, arch, i, result)
-
-            if tasks:
-                workers = min(workers, len(tasks))
-                if workers > 1 or force_pool:
-                    self._explore_parallel(tasks, workers, on_result=collect)
-                else:
-                    self._explore_serial(tasks, on_result=collect)
-            results = slots
+            run_tasks(
+                [(i, evaluate_task, (arch,))
+                 for i, arch in enumerate(candidates)],
+                workers, collect, explorer=self, force_pool=force_pool,
+            )
         best = min(results, key=lambda r: r.score)
         return DseReport(
             best=best,

@@ -1,22 +1,23 @@
-"""Persistent DSE worker pool with shared-memory table handoff.
+"""The persistent worker pool and the one supervised task dispatcher.
 
-The old driver paid worker spawn + explorer shipping on every
-``explore()`` call, which made parallel DSE *slower* than serial for
-small candidate batches.  :class:`PersistentEvalPool` amortizes those
-costs across the pool's lifetime:
+Every parallel entry point — ``DesignSpaceExplorer.explore``,
+``CampaignRunner.run`` and ``run_sweep`` — hands its work to
+:func:`run_tasks`, which runs it in-process or on a
+:class:`PersistentEvalPool` under one set of supervision rules.
 
-* workers are spawned once and reused for every subsequent dispatch
-  (the explorer caches its pool, and the campaign runner shares it);
-* the workloads' compiled graph tables are published **once** into
-  ``multiprocessing.shared_memory`` arenas
+The pool amortizes set-up across its lifetime:
+
+* workers are spawned once and reused for every dispatch (the explorer
+  caches its pool and the campaign runner shares it; a sweep builds one
+  per ``run_sweep`` call);
+* a pool bound to an explorer publishes the workloads' compiled graph
+  tables **once** into ``multiprocessing.shared_memory`` arenas
   (:mod:`repro.compiled.shm`); workers attach them zero-copy, so the
   tables exist once in physical memory regardless of start method or
   worker count;
 * the explorer itself rides the cheapest channel the start method
   offers — inherited memory under ``fork``, pickled once per worker
-  (at spawn, not per ``explore()`` call) under ``spawn``;
-* candidates are dispatched in chunks so per-task IPC overhead is paid
-  per chunk, not per candidate.
+  (at spawn, not per dispatch) under ``spawn``.
 
 The pool honors ``multiprocessing.set_start_method``: under ``spawn``
 (macOS/Windows default, or opted into anywhere) workers receive the
@@ -26,11 +27,10 @@ through the initializer — no fork dependence anywhere.
 The pool is also *supervisable*: a SIGKILL'd or hung worker breaks a
 ``ProcessPoolExecutor`` permanently (every outstanding future raises
 ``BrokenProcessPool`` and the executor refuses new work), so
-:meth:`respawn` tears the broken executor down — force-killing any
-still-running workers, which is the only way to clear a hung task —
-and builds a fresh one bound to the same explorer and the same arenas.
-The campaign runner calls it to keep a campaign alive across worker
-deaths.
+:meth:`PersistentEvalPool.respawn` tears the broken executor down —
+force-killing any still-running workers, which is the only way to
+clear a hung task — and builds a fresh one bound to the same explorer
+and the same arenas.
 
 The explorer must be treated as immutable once a pool exists — workers
 saw its state at fork/spawn time.
@@ -40,9 +40,20 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
+import os
+import time
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 
+from repro.dse import explorer as explorer_mod
+from repro.errors import ReproError
 from repro.perf import PERF
 
 #: Explorers registered for fork inheritance, keyed by token.  The
@@ -52,32 +63,48 @@ from repro.perf import PERF
 _FORK_STATE: dict[int, object] = {}
 _TOKENS = itertools.count()
 
+#: Worker-process state: the pool's explorer (``None`` for a pool
+#: built without one), adopted once by the initializer.
+_WORKER_EXPLORER = None
+
 
 def _init_worker(token, explorer, handles, hook) -> None:
-    """Adopt the pool's state as this worker's evaluation context.
+    """Adopt the pool's state as this worker's task context.
 
-    One initializer for every start method: ``explorer`` is ``None``
-    under fork (the inherited :data:`_FORK_STATE` registry has it) and
-    the pickled explorer under spawn; ``handles`` are the shared-memory
-    arena handles of the workloads' compiled tables; ``hook`` is the
-    chaos evaluation hook armed in the parent at executor creation (a
-    no-op ``None`` in production).
+    One initializer for every start method: ``token`` finds the
+    explorer in the inherited :data:`_FORK_STATE` registry under fork,
+    while spawn ships the pickled ``explorer`` itself (either may be
+    ``None``: a pool without an explorer); ``handles`` are the
+    shared-memory arena handles of the workloads' compiled tables;
+    ``hook`` is the chaos evaluation hook armed in the parent at
+    executor creation (a no-op ``None`` in production).
     """
-    from repro.compiled.shm import adopt_shared_tables
-    from repro.dse import explorer as explorer_mod
-
-    if explorer is None:
+    global _WORKER_EXPLORER
+    if token is not None:
         explorer = _FORK_STATE[token]
-    explorer_mod._WORKER_EXPLORER = explorer
+    _WORKER_EXPLORER = explorer
     if hook is not None:
         explorer_mod._EVAL_HOOK = hook
-    for workload, handle in zip(explorer.workloads, handles):
-        adopt_shared_tables(workload.graph, handle)
+    if explorer is not None:
+        from repro.compiled.shm import adopt_shared_tables
+
+        for workload, handle in zip(explorer.workloads, handles):
+            adopt_shared_tables(workload.graph, handle)
 
 
-def default_chunksize(n_tasks: int, workers: int) -> int:
-    """Chunked dispatch: ~4 chunks per worker balances skew vs. IPC."""
-    return max(1, n_tasks // (workers * 4))
+def _run_in_worker(task):
+    """The one worker entry: run an ``(index, fn, args, attempt)`` task.
+
+    Fires the chaos hook (when armed) with ``(index, attempt)``, resets
+    the process-local ``PERF`` registry so the task ships its own delta,
+    and returns ``(fn(explorer, index, *args), snapshot)``.  It opens no
+    span of its own, so a task's spans stay roots in the worker.
+    """
+    index, fn, args, attempt = task
+    if explorer_mod._EVAL_HOOK is not None:
+        explorer_mod._EVAL_HOOK(index, attempt)
+    PERF.reset()
+    return fn(_WORKER_EXPLORER, index, *args), PERF.snapshot()
 
 
 def _release(executor: ProcessPoolExecutor, token: int | None,
@@ -125,7 +152,7 @@ def pool_start_method() -> str:
 
 
 class PersistentEvalPool:
-    """A long-lived process pool bound to one explorer."""
+    """A long-lived process pool, bound to one explorer or to none."""
 
     def __init__(self, explorer, workers: int):
         if workers < 1:
@@ -133,47 +160,42 @@ class PersistentEvalPool:
         self.workers = workers
         self._explorer = explorer
         self._token: int | None = None
-        # Compile the workloads' graph tables in the parent before any
-        # worker exists, then publish them as shared-memory arenas so
-        # every worker — fork or spawn — attaches the same physical
-        # tables.
-        explorer.prepare()
-        from repro.compiled import compile_graph
-        from repro.compiled.shm import publish_graph_tables
+        self._arenas = []
+        if explorer is not None:
+            # Compile the workloads' graph tables in the parent before
+            # any worker exists, then publish them as shared-memory
+            # arenas so every worker — fork or spawn — attaches the same
+            # physical tables.
+            explorer.prepare()
+            from repro.compiled import compile_graph
+            from repro.compiled.shm import publish_graph_tables
 
-        self._arenas = [
-            publish_graph_tables(compile_graph(wl.graph))
-            for wl in explorer.workloads
-        ]
+            self._arenas = [
+                publish_graph_tables(compile_graph(wl.graph))
+                for wl in explorer.workloads
+            ]
         self.start_method = pool_start_method()
-        if self.start_method == "fork":
+        if self.start_method == "fork" and explorer is not None:
             self._token = next(_TOKENS)
             _FORK_STATE[self._token] = explorer
         self._pool = self._spawn_executor()
         self._finalizer = weakref.finalize(
             self, _release, self._pool, self._token, self._arenas
         )
-        self.dispatched = 0
-        self.respawns = 0
         PERF.add("dse.pool.created")
 
     def _spawn_executor(self) -> ProcessPoolExecutor:
-        from repro.dse import explorer as explorer_mod
-
         handles = tuple(arena.handle for arena in self._arenas)
         # The chaos hook is captured here so a respawned executor's
         # workers re-arm it — under fork they would inherit it anyway,
         # under spawn it must ride the initargs.
         hook = explorer_mod._EVAL_HOOK
-        if self.start_method == "fork":
-            initargs = (self._token, None, handles, hook)
-        else:
-            initargs = (None, self._explorer, handles, hook)
+        explorer = None if self._token is not None else self._explorer
         return ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=mp.get_context(self.start_method),
             initializer=_init_worker,
-            initargs=initargs,
+            initargs=(self._token, explorer, handles, hook),
         )
 
     def respawn(self) -> None:
@@ -181,7 +203,7 @@ class PersistentEvalPool:
 
         Outstanding futures of the old executor are abandoned: a broken
         executor has already failed them with ``BrokenProcessPool``,
-        and a hung worker only dies by force — the supervisor decides
+        and a hung worker only dies by force — the dispatcher decides
         which of its tasks get re-dispatched.  The published arenas are
         kept: new workers re-attach the same segments at next submit.
         """
@@ -192,54 +214,13 @@ class PersistentEvalPool:
         self._finalizer = weakref.finalize(
             self, _release, self._pool, self._token, self._arenas
         )
-        self.respawns += 1
         PERF.add("dse.pool.respawned")
 
-    # ------------------------------------------------------------------
-
-    def map_tasks(self, tasks, chunksize: int | None = None):
-        """Ordered lazy map of ``(index, arch, warm)`` tasks.
-
-        Yields ``(result, perf_snapshot)`` pairs in task order as they
-        complete, like ``Executor.map`` — callers can checkpoint the
-        ordered stream as it advances.  Unlike ``Executor.map``, one
-        failing task does not poison its whole dispatch chunk: workers
-        capture per-task outcomes, so every result computed *before*
-        the first failing task is yielded before its exception re-raises.
-        """
-        from repro.dse.explorer import _evaluate_chunk
-        from repro.obs.trace import trace
-
-        if chunksize is None:
-            chunksize = default_chunksize(len(tasks), self.workers)
-        self.dispatched += len(tasks)
-        PERF.add("dse.pool.dispatched", len(tasks))
-        # The span covers submission only — the generator is lazy;
-        # workers report their own spans through the snapshot channel.
-        with trace("dse.pool.dispatch", tasks=len(tasks),
-                   chunksize=chunksize, workers=self.workers):
-            futures = [
-                self._pool.submit(_evaluate_chunk, tasks[i:i + chunksize])
-                for i in range(0, len(tasks), chunksize)
-            ]
-
-        def _results():
-            for fut in futures:
-                for status, payload in fut.result():
-                    if status == "err":
-                        raise payload
-                    yield payload
-
-        return _results()
-
     def submit(self, task) -> Future:
-        """Dispatch one ``(index, arch, warm[, attempt])`` task
-        (unordered use)."""
-        from repro.dse.explorer import _evaluate_in_worker
-
-        self.dispatched += 1
+        """Dispatch one ``(index, fn, args, attempt)`` task to the
+        worker entry; the future yields ``(outcome, perf_snapshot)``."""
         PERF.add("dse.pool.dispatched")
-        return self._pool.submit(_evaluate_in_worker, task)
+        return self._pool.submit(_run_in_worker, task)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
@@ -256,3 +237,245 @@ class PersistentEvalPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
+              on_event=None, policy=None, explorer=None,
+              force_pool: bool = False, keys=None,
+              label="candidate {}".format) -> None:
+    """Run ``(index, fn, args)`` tasks to an outcome each, supervised.
+
+    A task runs as ``fn(explorer, index, *args)``: in-process — no
+    fork, no ``PERF`` reset — when one worker suffices (``workers`` is
+    1, the policy has no deadline, no chaos hook is armed and
+    ``force_pool`` is off); otherwise on ``explorer``'s persistent pool,
+    or on a private pool closed on return when ``explorer`` is None.
+
+    Every task that finishes is handed over as ``on_result(index,
+    outcome, attempt, pid)``, after its worker's ``PERF`` snapshot is
+    merged.  Every task that fails for good goes to ``on_failure(index,
+    error, attempts, cause)``; without it, the first failure in task
+    order is raised once every task has reached an outcome — a crash as
+    ``WorkerCrashed``, a timeout as ``CandidateTimeout``, an evaluation
+    error as a ``ReproError`` naming the task (``label(index)``).
+    ``on_event(name, **fields)`` sees the supervision events
+    ``task_retried``, ``task_timeout``, ``worker_died`` and
+    ``pool_respawned``.
+
+    The rules (``policy`` defaults to ``RetryPolicy()``):
+
+    * at most ``workers`` tasks are in flight, so a worker death has a
+      bounded casualty list;
+    * a break with exactly *one* task in flight attributes the crash to
+      it; with several, every casualty is re-dispatched solo (a
+      *probe*) — the next crash identifies the culprit, and innocents
+      are never charged;
+    * an attempt past its deadline is charged a timeout (the respawn
+      kills its hung worker); the other in-flight tasks re-queue as
+      collateral, uncharged;
+    * a charged fault (crash, timeout or ``ReproError``) is retried
+      after ``policy.delay_s(keys[index], attempt)`` — in-process by
+      sleeping it inline, like a serial loop — until the task has been
+      charged ``policy.max_attempts`` times;
+    * any other exception from a task — a bug, not a fault — is raised,
+      and so is an exception from a callback, but only once the other
+      tasks of the same ``wait()`` round have been handed over.
+    """
+    from repro.campaign.faults import (
+        CAUSE_CRASH,
+        CAUSE_ERROR,
+        CAUSE_TIMEOUT,
+        CandidateTimeout,
+        RetryPolicy,
+        WorkerCrashed,
+    )
+
+    if not tasks:
+        return
+    policy = policy or RetryPolicy()
+    emit = on_event or (lambda event, **fields: None)
+    workers = min(workers, len(tasks))
+    pool = None
+    if (workers > 1 or force_pool or policy.needs_supervision
+            or explorer_mod._EVAL_HOOK is not None):
+        pool = (PersistentEvalPool(None, workers) if explorer is None
+                else explorer.pool(workers))
+    # Charged faults per task index; the dispatch attempt number is
+    # faults + 1, so injected chaos faults key on a deterministic
+    # attempt sequence even across collateral re-dispatches (which
+    # charge no fault).
+    faults: dict[int, int] = {}
+    failures: dict[int, tuple[Exception, str]] = {}
+    pending = deque(tasks)
+    probes: deque = deque()
+    delayed: list[tuple[float, tuple, bool]] = []
+    inflight: dict[Future, tuple] = {}
+
+    def respawn() -> None:
+        pool.respawn()
+        emit("pool_respawned", workers=pool.workers)
+
+    def dispatch(task, probe: bool) -> None:
+        index, fn, args = task
+        attempt = faults.get(index, 0) + 1
+        if pool is None:
+            fut = Future()
+            try:
+                fut.set_result((fn(explorer, index, *args), None))
+            except Exception as exc:  # noqa: BLE001 - as from a worker
+                fut.set_exception(exc)
+        else:
+            try:
+                fut = pool.submit((index, fn, args, attempt))
+            except BrokenProcessPool:
+                # A worker died while the executor sat idle (detected
+                # at submit, not through a future).  Nobody's fault:
+                # respawn and dispatch again.
+                respawn()
+                fut = pool.submit((index, fn, args, attempt))
+        deadline = (None if policy.timeout_s is None
+                    else time.monotonic() + policy.timeout_s)
+        inflight[fut] = (task, attempt, deadline, probe)
+
+    def charge(task, probe: bool, cause: str, error=None) -> None:
+        """Charge one fault: re-queue the task, or finalize it."""
+        i = task[0]
+        faults[i] = n = faults.get(i, 0) + 1
+        if n >= policy.max_attempts:
+            if cause == CAUSE_CRASH:
+                error = WorkerCrashed(
+                    f"{label(i)} killed its worker {n} time(s)"
+                )
+            elif cause == CAUSE_TIMEOUT:
+                error = CandidateTimeout(
+                    f"{label(i)} exceeded the {policy.timeout_s}s deadline "
+                    f"{n} time(s)"
+                )
+            if on_failure is None:
+                failures[i] = (error, cause)
+            else:
+                on_failure(i, error, n, cause)
+            return
+        delay = policy.delay_s(label(i) if keys is None else keys[i],
+                               n + 1)
+        emit("task_retried", index=i, cause=cause, attempt=n + 1,
+             delay_s=delay)
+        if delay > 0 and pool is not None:
+            delayed.append((time.monotonic() + delay, task, probe))
+            return
+        if delay > 0:
+            time.sleep(delay)
+        if probe:
+            probes.append(task)
+        else:
+            pending.appendleft(task)
+
+    def settle(fut, task, attempt: int, probe: bool) -> None:
+        """Hand a finished task over, or charge its evaluation error."""
+        try:
+            outcome, snapshot = fut.result()
+        except ReproError as exc:
+            charge(task, probe, CAUSE_ERROR, exc)
+            return
+        pid = os.getpid()
+        if snapshot is not None:
+            PERF.merge(snapshot)
+            pid = snapshot["pid"]
+        on_result(task[0], outcome, attempt, pid)
+
+    try:
+        while pending or probes or delayed or inflight:
+            now = time.monotonic()
+            # Promote backoff-expired tasks.
+            still = []
+            for ready_at, task, probe in delayed:
+                if ready_at <= now:
+                    (probes if probe else pending).append(task)
+                else:
+                    still.append((ready_at, task, probe))
+            delayed[:] = still
+
+            # Dispatch: probe tasks run strictly solo; otherwise fill
+            # the in-flight window up to the worker count.
+            if probes:
+                if not inflight:
+                    dispatch(probes.popleft(), probe=True)
+            else:
+                while pending and len(inflight) < workers:
+                    dispatch(pending.popleft(), probe=False)
+
+            if not inflight:
+                if delayed:
+                    time.sleep(max(0.0, min(r for r, _, _ in delayed)
+                                   - time.monotonic()))
+                continue
+
+            # Wait bounded by the nearest deadline or backoff expiry.
+            bounds = [d for _, _, d, _ in inflight.values()
+                      if d is not None]
+            bounds += [r for r, _, _ in delayed]
+            timeout = (max(0.05, min(bounds) - time.monotonic())
+                       if bounds else None)
+            done, _ = wait(inflight, timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+
+            # Hand the whole finished round over before raising anything
+            # — results that already exist must never be thrown away.
+            casualties, errors = [], []
+            for fut in done:
+                task, attempt, _, probe = inflight.pop(fut)
+                try:
+                    settle(fut, task, attempt, probe)
+                except BrokenProcessPool:
+                    casualties.append((task, probe))
+                except Exception as exc:  # noqa: BLE001 - raised below
+                    errors.append(exc)
+
+            if casualties:
+                # Every other in-flight future is broken too.
+                casualties += [(t, p) for t, _, _, p in inflight.values()]
+                inflight.clear()
+                PERF.add("dse.pool.worker_deaths")
+                emit("worker_died",
+                     casualties=[task[0] for task, _ in casualties],
+                     probing=len(casualties) > 1)
+                if len(casualties) == 1:
+                    charge(casualties[0][0], True, CAUSE_CRASH)
+                else:
+                    # Ambiguous: any of them may be the poison one.  No
+                    # fault is charged; each runs solo next, so the next
+                    # crash is attributable.
+                    probes.extend(task for task, _ in casualties)
+                respawn()
+            elif policy.timeout_s is not None:
+                now = time.monotonic()
+                expired = [f for f in inflight.values() if f[2] <= now]
+                if expired:
+                    # The hung workers only die with the respawn; the
+                    # rest of the in-flight tasks are collateral and
+                    # re-queue without a fault charge.
+                    collateral = [f for f in inflight.values() if f[2] > now]
+                    inflight.clear()
+                    for task, attempt, _, probe in expired:
+                        emit("task_timeout", index=task[0], attempt=attempt,
+                             timeout_s=policy.timeout_s)
+                        charge(task, probe, CAUSE_TIMEOUT)
+                    for task, _, _, probe in collateral:
+                        (probes if probe else pending).appendleft(task)
+                    respawn()
+            if errors:
+                raise errors[0]
+    finally:
+        for fut in inflight:
+            fut.cancel()
+        if pool is not None and explorer is None:
+            pool.close()
+
+    if failures:
+        i = min(failures)
+        error, cause = failures[i]
+        if cause != CAUSE_ERROR:
+            raise error
+        raise ReproError(
+            f"{label(i)} failed: {type(error).__name__}: {error}"
+        ) from error

@@ -4,9 +4,9 @@ A *scenario* is one cell of the evaluation grid the ROADMAP asks for:
 ``(model, batch, architecture)`` plus a mapping-search budget.  The
 registry ships a default matrix over the spec-defined zoo models (the
 workloads the five paper DNNs don't cover), and :func:`run_sweep`
-executes any scenario list — serially or over a process pool — writing
-per-scenario artifacts (``summary.json`` + ``mapping.json``) and one
-top-level ``sweep.csv``.
+executes any scenario list — in-process or over the supervised
+dispatcher's process pool — writing per-scenario artifacts
+(``summary.json`` + ``mapping.json``) and one top-level ``sweep.csv``.
 
 Scenarios are plain frozen dataclasses, so they pickle cleanly into
 worker processes and compose into larger campaigns.
@@ -15,7 +15,6 @@ worker processes and compose into larger campaigns.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -203,22 +202,13 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> dict:
     return _run_scenario_full(scenario, out_dir)[0]
 
 
-def _run_scenario_task(args: tuple[Scenario, str | None]) -> tuple[dict, list]:
-    scenario, out_dir = args
+def _sweep_task(_explorer, _index: int, scenario: Scenario,
+                out_dir: str | None) -> tuple[dict, list]:
+    """Dispatcher task body of one scenario (see
+    :func:`repro.dse.pool.run_tasks`).  ``_run_scenario_full`` is
+    looked up at call time, so a wrapped or patched module attribute is
+    what runs, in a worker as in-process."""
     return _run_scenario_full(scenario, out_dir)
-
-
-def _run_scenario_in_worker(
-    args: tuple[Scenario, str | None]
-) -> tuple[tuple[dict, list], dict]:
-    """Pool entry: ((summary, lmss), perf snapshot) — counters are
-    process-local, so each task ships its delta back to the parent (the
-    DSE pool does the same)."""
-    from repro.perf import PERF
-
-    PERF.reset()
-    outcome = _run_scenario_task(args)
-    return outcome, PERF.snapshot()
 
 
 #: Column order of sweep.csv (stable for downstream tooling).
@@ -295,7 +285,17 @@ def run_sweep(
     scenario or after an interruption — evaluates only the scenarios
     whose content key is not stored yet (``sweep.store_hits`` vs
     ``sweep.evaluated`` in :data:`~repro.perf.PERF`).
+
+    Scenarios run through the supervised dispatcher
+    (:func:`repro.dse.pool.run_tasks`, on a pool built for this call)
+    under the default ``RetryPolicy``: a crashed worker is contained,
+    every other scenario still completes and is checkpointed, and then
+    the first failure in scenario order is raised as a ``ReproError``
+    naming the scenario (``WorkerCrashed`` for a crash).
     """
+    from repro.dse.pool import run_tasks
+    from repro.perf import PERF
+
     if not scenarios:
         raise ValueError("no scenarios to sweep")
     names = [s.name for s in scenarios]
@@ -316,18 +316,16 @@ def run_sweep(
         workers = os.cpu_count() or 1
     out_str = None if out_dir is None else str(out_dir)
 
-    from repro.perf import PERF
-
     store = keys = None
     slots: dict[str, dict] = {}
-    pending = list(scenarios)
+    pending = list(enumerate(scenarios))
     if resume:
         from repro.campaign.store import KIND_SCENARIO, ResultStore
 
         store = ResultStore(Path(out_dir) / "store")
         keys = _scenario_keys(scenarios)
         pending = []
-        for sc in scenarios:
+        for i, sc in enumerate(scenarios):
             rec = store.get(KIND_SCENARIO, keys[sc.name])
             if rec is not None:
                 summary = dict(rec["summary"])
@@ -338,32 +336,28 @@ def run_sweep(
                 _materialize_hit(sc, summary, rec.get("lmss"), out_dir)
                 PERF.add("sweep.store_hits")
             else:
-                pending.append(sc)
+                pending.append((i, sc))
 
-    def checkpoint(sc: Scenario, summary: dict, lmss: list) -> None:
+    def checkpoint(i, outcome, attempt, pid) -> None:
+        # Each result is checkpointed as soon as it is collected, so an
+        # interrupted resumable sweep keeps everything already evaluated.
+        sc = scenarios[i]
+        summary, lmss = outcome
         slots[sc.name] = summary
         PERF.add("sweep.evaluated")
         if store is not None:
-            from repro.campaign.store import KIND_SCENARIO
-
             store.put(KIND_SCENARIO, keys[sc.name],
                       {"summary": summary, "lmss": lmss})
 
-    # Each result is checkpointed as soon as it is collected, so an
-    # interrupted resumable sweep keeps everything already evaluated.
-    tasks = [(s, out_str) for s in pending]
-    if len(tasks) > 1 and (workers or 1) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = pool.map(_run_scenario_in_worker, tasks)
-            for sc, ((summary, lmss), snapshot) in zip(pending, outcomes):
-                PERF.merge(snapshot)
-                checkpoint(sc, summary, lmss)
-    else:
-        for sc, task in zip(pending, tasks):
-            summary, lmss = _run_scenario_task(task)
-            checkpoint(sc, summary, lmss)
-    if store is not None:
-        store.close()
+    try:
+        run_tasks(
+            [(i, _sweep_task, (sc, out_str)) for i, sc in pending],
+            workers, checkpoint,
+            label=lambda i: f"scenario {scenarios[i].name!r}",
+        )
+    finally:
+        if store is not None:
+            store.close()
 
     summaries = [slots[s.name] for s in scenarios]
     if out_dir is not None:

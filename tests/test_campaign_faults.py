@@ -9,8 +9,6 @@ records, and a clean resume + export is byte-identical to a fault-free
 run of the surviving candidates.
 """
 
-import pytest
-
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
@@ -20,8 +18,7 @@ from repro.campaign import (
 )
 from repro.campaign.store import KIND_CANDIDATE, ResultStore
 from repro.core.sa import SASettings
-from repro.dse import DesignSpaceExplorer, DseGrid, Workload, enumerate_candidates
-from repro.errors import SearchError
+from repro.dse import DseGrid, Workload, enumerate_candidates
 from repro.obs.ledger import LEDGER_NAME, read_ledger
 from repro.perf import PERF
 from repro.testing import parse_chaos
@@ -309,35 +306,3 @@ class TestHealthSurfaces:
         assert "quarantined (poison) candidates" in text
         assert "--retry-quarantined" in text
 
-
-class TestPoolDrain:
-    def test_map_tasks_yields_results_before_a_chunk_mate_fails(self):
-        """One failing task must not take its chunk-mates' already
-        computed results down with it (the old ``Executor.map`` path
-        lost the whole chunk)."""
-        from repro.dse import explorer as explorer_mod
-
-        explorer = DesignSpaceExplorer(
-            [Workload(tiny_graph(), batch=2)],
-            sa_settings=SASettings(iterations=4, seed=11),
-        )
-        tasks = [(i, a, None) for i, a in enumerate(small_candidates())]
-
-        def hook(index, attempt):
-            if index == 2:
-                raise SearchError("injected chunk-mate failure")
-
-        explorer_mod._EVAL_HOOK = hook
-        try:
-            pool = explorer.pool(2)
-            # One chunk holding all tasks: the failure sits mid-chunk.
-            stream = pool.map_tasks(tasks, chunksize=len(tasks))
-            got = []
-            with pytest.raises(SearchError, match="chunk-mate"):
-                for result, _snapshot in stream:
-                    got.append(result)
-            assert len(got) == 2  # tasks 0 and 1 survived task 2's error
-            assert [r.arch for r in got] == [t[1] for t in tasks[:2]]
-        finally:
-            explorer_mod._EVAL_HOOK = None
-            explorer.close()

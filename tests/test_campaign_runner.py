@@ -258,42 +258,6 @@ class TestSpecGuards:
             campaign_status(tmp_path, "nope")
 
 
-class TestExplorerStoreIntegration:
-    def test_explore_with_store_serves_hits(self, tmp_path):
-        from repro.campaign.store import ResultStore
-
-        candidates = small_candidates()
-        explorer = DesignSpaceExplorer(
-            [Workload(tiny_graph(), batch=2)],
-            sa_settings=SASettings(iterations=6, seed=11),
-        )
-        with ResultStore(tmp_path) as store:
-            first = explorer.explore(candidates, store=store)
-            PERF.reset()
-            second = explorer.explore(candidates, store=store)
-        assert PERF.get("dse.store_hits") == len(candidates)
-        assert PERF.get("dse.candidates") == 0
-        assert [r.score for r in first.results] == [
-            r.score for r in second.results
-        ]
-        assert first.best.arch == second.best.arch
-
-    def test_store_key_ignores_arch_name(self, tmp_path):
-        from repro.campaign.store import ResultStore
-
-        candidates = small_candidates()[:2]
-        explorer = DesignSpaceExplorer(
-            [Workload(tiny_graph(), batch=2)],
-            sa_settings=SASettings(iterations=4),
-        )
-        renamed = [a.with_name(f"c{i}") for i, a in enumerate(candidates)]
-        with ResultStore(tmp_path) as store:
-            explorer.explore(candidates, store=store)
-            PERF.reset()
-            explorer.explore(renamed, store=store)
-        assert PERF.get("dse.store_hits") == len(candidates)
-
-
 class TestCampaignCli:
     def test_run_interrupt_resume_status_export(self, tmp_path, capsys):
         from repro.cli.main import main

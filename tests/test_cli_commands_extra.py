@@ -41,6 +41,29 @@ class TestCliDse:
         out = capsys.readouterr().out
         assert "best architecture:" in out
 
+    def test_failed_candidate_exits_cleanly_naming_it(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.dse import DesignSpaceExplorer
+        from repro.errors import SearchError
+
+        real = DesignSpaceExplorer.evaluate_candidate
+
+        def flaky(self, arch, index=0, warm=None):
+            if index == 1:
+                raise SearchError("injected failure")
+            return real(self, arch, index=index, warm=warm)
+
+        monkeypatch.setattr(DesignSpaceExplorer, "evaluate_candidate", flaky)
+        with pytest.raises(SystemExit, match="candidate 1 failed: "
+                           "SearchError: injected failure"):
+            main([
+                "dse", "--tops", "72", "--models", "TF", "--batch", "4",
+                "--iters", "2", "--max-candidates", "2",
+                "--out", str(tmp_path / "log"),
+            ])
+        assert not (tmp_path / "log" / "result.csv").exists()
+
 
 class TestOp5Reachability:
     """OP5 can reach every FD value in [0, D] for every explicit slot."""
