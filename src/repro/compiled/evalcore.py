@@ -8,7 +8,8 @@ tables.  Lowering is split by what actually determines each piece:
   requirement regions, per-K-slice weight bytes, DRAM-input volumes).
   Keyed by ``(layer, partition, batch_unit)``: the three SA operators
   that only permute core groups or re-draw FD selectors (OP2/OP3/OP5)
-  reuse it untouched.
+  reuse it untouched.  It reads nothing of the topology, so a store of
+  records may serve every architecture with the same core.
 * :class:`CompiledLayer` — a partition record plus the scheme's core
   assignment, keyed by the full scheme.
 * pair geometry — producer-part x consumer-part overlap volumes,
@@ -71,12 +72,13 @@ class PartRec:
     half the GLB (``None`` when every slice is resident);
     ``out_volumes`` are per-part ofmap bytes; ``needs`` / ``dram_in``
     lazily memoize per-input requirement regions and DRAM-read volumes.
+    Records may outlive an architecture (see :class:`CompiledEval`),
+    so they keep no array their consumers do not read.
     """
 
     lid: int
     regions: np.ndarray
     if_fetches: np.ndarray
-    w_fetches: np.ndarray
     compute: float
     energy: float
     fits: bool
@@ -152,18 +154,31 @@ class CompiledEval:
     partition or scheme, batch unit, dependency schemes/placements), so
     the compiled path is a pure memoized function of its inputs.
 
-    Only the evaluator's topology, architecture, energy model and
-    intra-core engine are kept — never the evaluator itself, which owns
-    this object: without the back-reference both die by refcount.
+    Only the evaluator's topology, architecture, energy model,
+    intra-core engine and partition-record store are kept — never the
+    evaluator itself, which owns this object: without the
+    back-reference both die by refcount.
+
+    Partition records come from the evaluator's shared store when it
+    has one, else from a private one.  A record is a function of the
+    graph, the layer, the partition, the batch unit and the core
+    parameters, so keys in a shared store lead with ``(engine,
+    graph)``, an engine standing for one core micro-architecture:
+    records built for one architecture serve every other with the same
+    core and graph.
     """
 
-    def __init__(self, evaluator, cgraph: CompiledGraph):
+    def __init__(self, evaluator, cgraph: CompiledGraph, graph):
         self.topo = topo = evaluator.topo
         self.arch = evaluator.arch
         self.energy = evaluator.energy
         self.intracore = evaluator.intracore
         self.cgraph = cgraph
-        self.parts = LruDict(32768, name="compiled.parts")
+        self.parts = evaluator.parts
+        self._part_ns = (self.intracore, graph)
+        if self.parts is None:
+            self.parts = LruDict(32768, name="compiled.parts")
+            self._part_ns = None
         self.layers = LruDict(32768, name="compiled.layers")
         self.self_blocks = LruDict(32768, name="compiled.self")
         self.pair_geom = LruDict(32768, name="compiled.pairs")
@@ -258,7 +273,7 @@ class CompiledEval:
         return rec
 
     def part_rec(self, lid: int, part, batch_unit: int) -> PartRec:
-        key = (lid, part, batch_unit)
+        key = (self._part_ns, lid, part, batch_unit)
         rec = self.parts.get_lru(key)
         if rec is None:
             rec = self._build_part(lid, part, batch_unit)
@@ -347,10 +362,6 @@ class CompiledEval:
                 compute = res.compute_time
             energy += res.energy
             fits = fits and res.fits
-        w_fetches = np.array(
-            [res.w_fetches for res in results], dtype=np.float64
-        )
-
         weight_vols = weight_streamed = None
         if cg.has_weights[lid]:
             # Stationary-operand bytes (CoreWorkload.weight_bytes),
@@ -364,6 +375,9 @@ class CompiledEval:
             wb = (
                 ext[:, 3] * np.maximum(1, c // grp) * (r * s * bpe)
             ).astype(np.float64)
+            w_fetches = np.array(
+                [res.w_fetches for res in results], dtype=np.float64
+            )
             weight_vols = (wb * w_fetches).reshape(-1, pk).max(axis=0)
             streamed = weight_vols > self.glb_half
             if streamed.any():
@@ -375,7 +389,6 @@ class CompiledEval:
             if_fetches=np.array(
                 [res.if_fetches for res in results], dtype=np.float64
             ),
-            w_fetches=w_fetches,
             compute=compute,
             energy=energy,
             fits=fits,

@@ -22,6 +22,8 @@ from repro.core.initial import initial_lms
 from repro.core.sa import SAController, SASettings, SAStats
 from repro.evalmodel.breakdown import MappingEval
 from repro.evalmodel.evaluator import Evaluator
+from repro.intracore.cache import IntraCoreEngine
+from repro.perf import LruDict
 from repro.workloads.graph import DNNGraph
 
 
@@ -66,7 +68,12 @@ class MappingEngineSettings:
 
 
 class MappingEngine:
-    """Gemini's Mapping Engine bound to one architecture."""
+    """Gemini's Mapping Engine bound to one architecture.
+
+    ``intracore`` and ``parts`` are passed to the :class:`Evaluator`:
+    an intra-core engine and a partition-record store shared with other
+    architectures of the same core micro-architecture.
+    """
 
     def __init__(
         self,
@@ -74,10 +81,13 @@ class MappingEngine:
         energy: EnergyModel = DEFAULT_ENERGY,
         topo: Topology | None = None,
         settings: MappingEngineSettings | None = None,
+        intracore: IntraCoreEngine | None = None,
+        parts: LruDict | None = None,
     ):
         self.arch = arch
         self.settings = settings or MappingEngineSettings()
-        self.evaluator = Evaluator(arch, topo=topo, energy=energy)
+        self.evaluator = Evaluator(arch, topo=topo, energy=energy,
+                                   intracore=intracore, parts=parts)
 
     # ------------------------------------------------------------------
 

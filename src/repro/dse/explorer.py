@@ -11,6 +11,15 @@ fan them out over a process pool (``workers=N``) — the paper's artifact
 runs its DSE "on 80-100 threads" (Sec VI-A2).  Every candidate's SA is
 seeded deterministically from the candidate's position in the list, so
 ``workers=4`` returns bit-identical reports to ``workers=1``.
+
+Table-I candidates share few core micro-architectures, and the
+intra-core schedules and partition records a cold candidate builds
+depend on its core alone.  An explorer therefore keeps one intra-core
+engine per core and one bounded partition-record store for its whole
+life, and every candidate it maps — in-process or in a pool worker —
+reuses what earlier candidates with the same core built.  The store is
+never pickled: fork workers inherit the parent's copy-on-write, spawn
+workers start empty.
 """
 
 from __future__ import annotations
@@ -20,13 +29,23 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.arch.energy import DEFAULT_ENERGY
 from repro.arch.params import ArchConfig
 from repro.core.engine import MappingEngine, MappingEngineSettings
 from repro.core.sa import SASettings
 from repro.cost.mc import DEFAULT_MC, MCEvaluator, MCReport
 from repro.dse.objective import OBJECTIVE_MCED, Objective
-from repro.perf import PERF
+from repro.intracore.cache import IntraCoreEngine, core_key
+from repro.perf import PERF, LruDict
 from repro.workloads.graph import DNNGraph
+
+#: Partition records an explorer keeps across candidates, over all its
+#: cores and workloads.  On the 72-TOPs Table-I slice this keeps every
+#: cross-candidate hit of a 12-candidate worker sequence; 512 keep
+#: about half of the saving.
+PART_RECORDS = 1024
+#: Schedules an explorer's intra-core engine keeps per core.
+SCHEDULES_PER_CORE = 20_000
 
 
 @dataclass(frozen=True)
@@ -163,6 +182,9 @@ class DesignSpaceExplorer:
         #: exploration to keep worker IPC and report memory lean.
         self.record_mappings = record_mappings
         self._pool = None
+        #: ``(engines by core key, partition records)``, built on first
+        #: use (:meth:`_core_cache`).
+        self._core_store = None
 
     # ------------------------------------------------------------------
     # Worker pool
@@ -214,10 +236,29 @@ class DesignSpaceExplorer:
 
     def __getstate__(self):
         # Pools hold OS resources; workers re-derive state from the
-        # shipped explorer, never from its pool.
+        # shipped explorer, never from its pool.  The core store is a
+        # cache: shipping it would cost more than rebuilding it.
         state = dict(self.__dict__)
         state["_pool"] = None
+        state["_core_store"] = None
         return state
+
+    def _core_cache(self, arch: ArchConfig) -> tuple:
+        """``(intra-core engine, partition-record store)`` for mapping
+        ``arch``: the engine of ``arch``'s core and the one record
+        store, shared by every candidate this explorer maps."""
+        if self._core_store is None:
+            self._core_store = (
+                {}, LruDict(PART_RECORDS, name="compiled.parts"),
+            )
+        engines, parts = self._core_store
+        key = core_key(arch, DEFAULT_ENERGY)
+        engine = engines.get(key)
+        if engine is None:
+            engine = engines[key] = IntraCoreEngine(
+                arch, DEFAULT_ENERGY, max_entries=SCHEDULES_PER_CORE
+            )
+        return engine, parts
 
     # ------------------------------------------------------------------
 
@@ -253,12 +294,15 @@ class DesignSpaceExplorer:
         from repro.obs.trace import trace
 
         t0 = time.perf_counter()
+        intracore, parts = self._core_cache(arch)
         engine = MappingEngine(
             arch,
             settings=MappingEngineSettings(
                 sa=self._candidate_settings(index),
                 max_group_layers=self.max_group_layers,
             ),
+            intracore=intracore,
+            parts=parts,
         )
         per: dict[str, tuple[float, float]] = {}
         mappings: dict[str, list] = {}

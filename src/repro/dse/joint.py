@@ -85,15 +85,21 @@ class JointExplorer:
         self.mc_evaluator = mc_evaluator
         self.sa_settings = sa_settings
         self.max_group_layers = max_group_layers
+        self._explorers: dict[float, DesignSpaceExplorer] = {}
 
     def _explorer(self, level: float) -> DesignSpaceExplorer:
-        return DesignSpaceExplorer(
-            self.workloads_per_level[level],
-            objective=self.objective,
-            mc_evaluator=self.mc_evaluator,
-            sa_settings=self.sa_settings,
-            max_group_layers=self.max_group_layers,
-        )
+        """The level's explorer, kept so that every base design mapped
+        at this level shares its intra-core engines and records."""
+        explorer = self._explorers.get(level)
+        if explorer is None:
+            explorer = self._explorers[level] = DesignSpaceExplorer(
+                self.workloads_per_level[level],
+                objective=self.objective,
+                mc_evaluator=self.mc_evaluator,
+                sa_settings=self.sa_settings,
+                max_group_layers=self.max_group_layers,
+            )
+        return explorer
 
     def evaluate_base(self, base: ArchConfig) -> JointCandidateResult | None:
         """Evaluate one lowest-level candidate across every level."""

@@ -37,9 +37,9 @@ from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval, MappingEval
 from repro.evalmodel.delay import group_delay, stage_times_from_compute
 from repro.evalmodel.energy import group_energy_from_intra
 from repro.evalmodel.traffic_analysis import GroupTrafficAnalyzer
-from repro.intracore.cache import IntraCoreEngine
+from repro.intracore.cache import IntraCoreEngine, core_key
 from repro.intracore.result import IntraCoreResult
-from repro.perf import PERF
+from repro.perf import PERF, LruDict
 from repro.workloads.graph import DNNGraph
 
 
@@ -55,6 +55,14 @@ class Evaluator:
     ``cache=False`` pins the uncached object path (the behaviour of the
     original single-shot pipeline, kept as the reference oracle);
     results are identical either way.
+
+    ``intracore`` and ``parts`` share an intra-core engine and a store
+    of the compiled core's partition records with other evaluators of
+    the same core micro-architecture (what a design-space explorer
+    hands every candidate it maps).  Both depend on the core
+    parameters alone, never on topology, bandwidths or fabric; an
+    engine built for other core parameters raises ``ValueError``.  By
+    default, and always for the oracle, the evaluator builds its own.
     """
 
     def __init__(
@@ -64,9 +72,17 @@ class Evaluator:
         energy: EnergyModel = DEFAULT_ENERGY,
         network_model: str = "bound",
         cache: bool = True,
+        intracore: IntraCoreEngine | None = None,
+        parts: LruDict | None = None,
     ):
         if network_model not in ("bound", "maxmin"):
             raise ValueError(f"unknown network model {network_model!r}")
+        if intracore is not None and \
+                intracore.core_key != core_key(arch, energy):
+            raise ValueError(
+                "shared intra-core engine was built for other core "
+                "parameters than this architecture's"
+            )
         self.arch = arch
         self.topo = topo if topo is not None else build_topology(arch)
         self.energy = energy
@@ -75,7 +91,12 @@ class Evaluator:
         # The compiled core computes only the analytic bound; flow
         # collection stays on the object path.
         self.compiled_enabled = cache and network_model == "bound"
-        self.intracore = IntraCoreEngine(arch, energy)
+        if intracore is None or not cache:
+            intracore = IntraCoreEngine(arch, energy)
+        self.intracore = intracore
+        #: The partition-record store handed to the compiled core
+        #: (``None``: each compiled graph keeps its own).
+        self.parts = parts
         self._compiled: WeakKeyDictionary[DNNGraph, object] = (
             WeakKeyDictionary()
         )
@@ -113,7 +134,7 @@ class Evaluator:
         if ce is None:
             from repro.compiled import CompiledEval, compile_graph
 
-            ce = CompiledEval(self, compile_graph(graph))
+            ce = CompiledEval(self, compile_graph(graph), graph)
             self._compiled[graph] = ce
         return ce
 

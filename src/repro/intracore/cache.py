@@ -2,9 +2,13 @@
 
 SA iterations repeatedly evaluate the same partitioned-workload shapes
 (layer partitions change one attribute at a time), so caching schedule
-results by the full workload/core signature removes the dominant cost of
-re-evaluation.  The cache is a true LRU: at capacity the stalest entry
-is evicted, so a long DSE sweep over many candidates keeps its working
+results by workload removes the dominant cost of re-evaluation.  A
+schedule depends on the workload and the core micro-architecture alone
+(:func:`core_key`), so one engine serves every architecture with that
+core: a :class:`~repro.dse.explorer.DesignSpaceExplorer` keeps one per
+core for its whole life and hands it to every candidate it maps, while
+a standalone evaluator builds its own.  The cache is a true LRU: at
+capacity the stalest entry is evicted, so a long run keeps its working
 set instead of periodically dropping everything.
 """
 
@@ -18,6 +22,13 @@ from repro.intracore.tiling import schedule_workload
 from repro.perf import PERF, LruDict
 
 
+def core_key(arch: ArchConfig, energy: EnergyModel) -> tuple:
+    """The core parameters an intra-core schedule (and a compiled
+    partition record) reads: equal keys give bit-identical schedules."""
+    return (arch.glb_bytes, arch.macs_per_core, arch.frequency,
+            arch.glb_bytes_per_cycle, arch.vector_lanes, energy)
+
+
 class IntraCoreEngine:
     """LRU-caching wrapper around :func:`schedule_workload`."""
 
@@ -25,6 +36,7 @@ class IntraCoreEngine:
                  max_entries: int = 200_000):
         self.arch = arch
         self.energy = energy
+        self.core_key = core_key(arch, energy)
         self.max_entries = max_entries
         self._cache: LruDict = LruDict(max_entries)
         self.hits = 0
