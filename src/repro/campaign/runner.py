@@ -463,10 +463,16 @@ class CampaignRunner:
         enforced on futures, and injected worker crashes must not take
         the parent process down.  Evaluation runs through the
         supervised dispatcher, :func:`repro.dse.pool.run_tasks`.
+        ``workers=None`` uses every CPU; a count below 1 raises
+        ``ValueError``.
         """
         from repro.dse.pool import run_tasks
         from repro.obs.trace import trace
 
+        if workers is None:
+            workers = os.cpu_count() or 1
+        elif workers < 1:
+            raise ValueError(f"workers must be >= 1 or None, got {workers}")
         policy = policy or RetryPolicy()
         self._policy = policy
         todo = self.pending(retry_quarantined=retry_quarantined)
@@ -475,9 +481,7 @@ class CampaignRunner:
             if self.store.has(KIND_CANDIDATE, key)
         )
         PERF.add("campaign.store_hits", hits)
-        if workers is None:
-            workers = os.cpu_count() or 1
-        workers = max(1, min(workers, len(todo) or 1))
+        workers = min(workers, len(todo) or 1)
         tasks = [(i, evaluate_task, (arch, self._warm_for(i)))
                  for i, arch in todo]
         completed = failed = 0

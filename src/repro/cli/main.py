@@ -134,17 +134,28 @@ def add_fabric_flags(p, multiple: bool = False) -> None:
                    help="deterministic routing policy override")
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (batch sizes,
-    population sizes, tempering rungs)."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (batch sizes,
+    population sizes, tempering rungs)."""
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 has a meaning (SA iterations,
+    0 being the T-Map baseline or a sweep's scenario default; worker
+    counts, 0 being all CPUs)."""
+    return _int_at_least(text, 0)
 
 
 def add_population_flags(p) -> None:
@@ -843,11 +854,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"registry names ({', '.join(sorted(MODEL_REGISTRY))}) "
                         "or model files (.onnx / spec .json/.yaml)")
     p.add_argument("--batch", type=positive_int, default=64)
-    p.add_argument("--iters", type=int, default=80)
+    p.add_argument("--iters", type=non_negative_int, default=80)
     p.add_argument("--full", action="store_true",
                    help="use the full Table-I grid (slow)")
     p.add_argument("--out", default="dse_log")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=non_negative_int, default=1,
                    help="parallel candidate evaluators (0 = all CPUs); "
                         "results are identical for any worker count")
     p.add_argument("--max-candidates", type=int, default=0,
@@ -867,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "or a model file (.onnx / spec / graph JSON)")
     p.add_argument("--arch", default="g-arch")
     p.add_argument("--batch", type=positive_int, default=64)
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=non_negative_int, default=200)
     add_population_flags(p)
     add_fabric_flags(p)
     p.add_argument("--save-mapping")
@@ -887,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+",
                    default=["RN-50", "RNX", "IRes", "PNas", "TF"],
                    help="registry names or model files")
-    p.add_argument("--iters", type=int, default=150)
+    p.add_argument("--iters", type=non_negative_int, default=150)
     add_fabric_flags(p)
     p.add_argument("--quick", action="store_true",
                    help="one model at batch 1 with a tiny SA budget "
@@ -910,11 +921,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["BERT", "MBV2", "UNet", "GPT-Dec"])
     p.add_argument("--batches", type=positive_int, nargs="+", default=[1, 64])
     p.add_argument("--archs", nargs="+", default=["g-arch"])
-    p.add_argument("--iters", type=int, default=0,
-                   help="SA budget per layer group (0 = scenario default)")
+    p.add_argument("--iters", type=non_negative_int, default=0,
+                   help="SA iterations for the whole mapping "
+                        "(SASettings.iterations; 0 = scenario default)")
     add_fabric_flags(p, multiple=True)
     p.add_argument("--out", default="sweep_out")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=non_negative_int, default=1,
                    help="parallel scenario runners (0 = all CPUs)")
     p.add_argument("--resume", action="store_true",
                    help="checkpoint into <out>/store and skip scenarios "
@@ -943,12 +955,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--models", nargs="+", default=["TF"],
                    help="registry names or model files")
     c.add_argument("--batch", type=positive_int, default=64)
-    c.add_argument("--iters", type=int, default=80)
+    c.add_argument("--iters", type=non_negative_int, default=80)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--seed-stride", type=int, default=0)
     add_population_flags(c)
     add_fabric_flags(c, multiple=True)
-    c.add_argument("--workers", type=int, default=1,
+    c.add_argument("--workers", type=non_negative_int, default=1,
                    help="parallel candidate evaluators (0 = all CPUs)")
     c.add_argument("--no-warm-start", action="store_true",
                    help="disable SA warm starts from stored mappings")
@@ -1049,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registry name or model file")
     p.add_argument("--arch", default="g-arch")
     p.add_argument("--batch", type=positive_int, default=64)
-    p.add_argument("--iters", type=int, default=400)
+    p.add_argument("--iters", type=non_negative_int, default=400)
     add_fabric_flags(p)
     p.add_argument("--out", default=None,
                    help="also write the rendered heatmaps to this file")
@@ -1083,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registry name or model file")
     p.add_argument("--arch", default="g-arch")
     p.add_argument("--batch", type=positive_int, default=64)
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=non_negative_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1,
                    help="independent SA restarts (best run wins)")

@@ -205,8 +205,11 @@ class _DeferredBlocks:
     along a contiguous axis).  An input slice's flows are ``(link rows,
     DRAM reads)``: the link-volume rows the analyzer adds one by one
     (one per FD target for a DRAM read) and, for DRAM reads, the
-    ``(n_dram, parts)`` volumes plus their per-DRAM tally.  A move that
-    changes one producer recomputes only that producer's slice.
+    ``(n_dram, parts)`` volumes plus their per-DRAM tally.  A layer's
+    first input (``op_idx == 0``) is the first its block fold adds,
+    from zero, so its DRAM-read rows are kept pre-folded into the one
+    row that fold reaches after them.  A move that changes one producer
+    recomputes only that producer's slice.
     """
 
     def __init__(self, ceval: CompiledEval):
@@ -391,7 +394,10 @@ class _DeferredBlocks:
                 ops = (core_out[ent[1]:ent[1] + 1].copy(), None)
             elif kind == "dram":
                 _, seg, n_segs, dram = ent
-                ops = (flat_out[seg:seg + n_segs].copy(), dram)
+                rows = flat_out[seg:seg + n_segs]
+                # A first input's rows, pre-folded (see the class doc).
+                ops = (np.add.reduce(rows, axis=0, keepdims=True)
+                       if key[1] == 0 else rows.copy(), dram)
             else:
                 ops = ent[1]
             ceval.slice_flows.put(key, ops)

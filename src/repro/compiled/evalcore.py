@@ -93,16 +93,13 @@ class PartRec:
 class CompiledLayer:
     """A partition record bound to one scheme's core assignment.
 
-    ``dram_plans`` lazily memoizes :meth:`CompiledEval.dram_plan` per
-    ``(FD selector, input index or None for the ofmap write)``: the
-    stacked route indices and repeat counts of the cores' DRAM routes
-    over every FD target, so repeated scatters skip the route-table
-    gather and only pay the bincount.
+    Nothing else is kept: a layer's DRAM plans are rarely asked for
+    twice while its record sits in the ``compiled.layers`` LRU, so
+    :meth:`CompiledEval.dram_plan` gathers one per staged scatter.
     """
 
     rec: PartRec
     cores: np.ndarray
-    dram_plans: dict
 
 
 class _GroupCtx:
@@ -268,7 +265,7 @@ class CompiledEval:
                 scheme.core_group, dtype=np.int64,
                 count=scheme.part.n_parts,
             )
-            rec = CompiledLayer(part, cores, {})
+            rec = CompiledLayer(part, cores)
             self.layers.put(key, rec)
         return rec
 
@@ -527,26 +524,20 @@ class CompiledEval:
         target ``t``'s link indices are offset by ``t * n_links``, so
         one bincount over ``T`` segments scatters every target, each
         segment with weights in the order :func:`dram_scatter_batch`
-        feeds that target's own bincount — the memoized plan changes no
-        bits.
+        feeds that target's own bincount.
         """
-        key = (fd, op_idx)
-        plan = layer.dram_plans.get(key)
-        if plan is None:
-            if op_idx is None:
-                cores = layer.cores
-                table, stacked, lens = self._dram_tables[0]
-            else:
-                cores = layer.cores[self._dram_in(layer.rec, op_idx)[0]]
-                table, stacked, lens = self._dram_tables[1]
-            d, shares = self.fd_targets[fd]
-            if len(d) > 1:
-                table = stacked
-            rows = (cores * self.n_dram + d[:, None]).ravel()
-            padded = table.take(rows, axis=0)
-            plan = (d, shares, padded[padded >= 0], lens.take(rows))
-            layer.dram_plans[key] = plan
-        return plan
+        if op_idx is None:
+            cores = layer.cores
+            table, stacked, lens = self._dram_tables[0]
+        else:
+            cores = layer.cores[self._dram_in(layer.rec, op_idx)[0]]
+            table, stacked, lens = self._dram_tables[1]
+        d, shares = self.fd_targets[fd]
+        if len(d) > 1:
+            table = stacked
+        rows = (cores * self.n_dram + d[:, None]).ravel()
+        padded = table.take(rows, axis=0)
+        return d, shares, padded[padded >= 0], lens.take(rows)
 
     def evaluate_group(
         self,

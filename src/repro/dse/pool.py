@@ -280,6 +280,9 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
     * any other exception from a task — a bug, not a fault — is raised,
       and so is an exception from a callback, but only once the other
       tasks of the same ``wait()`` round have been handed over.
+
+    ``workers`` below 1 raises ``ValueError``: no task could ever be
+    admitted to the window.
     """
     from repro.campaign.faults import (
         CAUSE_CRASH,
@@ -290,6 +293,8 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
         WorkerCrashed,
     )
 
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not tasks:
         return
     policy = policy or RetryPolicy()

@@ -58,7 +58,7 @@ class Scenario:
     model: str           # registry abbreviation or model file path
     batch: int
     arch: str = "g-arch"  # preset name or best_arch.json path
-    iters: int = 100      # SA budget per layer group
+    iters: int = 100      # SA iterations for the whole mapping
     seed: int = 0
     #: Interconnect override as a ``kind[:routing][:knobs]`` spec
     #: string (see :func:`repro.fabric.parse_fabric`); empty keeps

@@ -121,6 +121,22 @@ class TestCliBatchValidation:
         assert build_parser().parse_args(["map", "--batch", "3"]).batch == 3
 
 
+class TestCliIterationValidation:
+    """Every ``--iters`` takes a non-negative count at parse time:
+    ``sweep --iters -3`` used to run no SA and record ``iters=-3``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dse"], ["map"], ["compare"], ["sweep"],
+        ["campaign", "run", "--name", "x"], ["heatmap"], ["sa-report"],
+    ])
+    def test_negative_rejected_zero_parses(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--iters", "-3"])
+        assert exc.value.code == 2
+        assert "--iters" in capsys.readouterr().err
+        assert build_parser().parse_args(argv + ["--iters", "0"]).iters == 0
+
+
 class TestCliPopulationValidation:
     """--population / --tempering reject counts below one at parse time:
     ``--population 0`` used to run the serial walk under a different

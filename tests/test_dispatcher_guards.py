@@ -1,0 +1,88 @@
+"""Worker counts below one are refused, never spun on.
+
+``run_tasks`` admits a task while fewer than ``workers`` are in flight,
+so a count below one would admit none and loop forever.  The
+dispatcher and ``CampaignRunner.run`` refuse such counts up front
+(``None`` still means all CPUs), which covers ``explore`` and
+``run_sweep`` too; the ``--workers`` flags of ``dse``, ``sweep`` and
+``campaign run`` take non-negative counts (``0`` means all CPUs).
+
+Every call runs under a ``SIGALRM`` deadline, so a regression fails
+its test instead of hanging the suite.
+"""
+
+import signal
+from contextlib import contextmanager
+
+import pytest
+
+from repro.campaign import CampaignRunner
+from repro.cli.main import build_parser
+from repro.dse.pool import run_tasks
+from repro.frontend import Scenario, run_sweep
+from repro.io.serialization import save_graph
+
+from test_campaign_faults import make_spec, small_candidates, tiny_graph
+from test_dispatcher import make_explorer
+
+#: Far above the guard (it raises before any task runs), far below a
+#: suite timeout.
+DEADLINE_S = 10
+
+
+@contextmanager
+def deadline(seconds=DEADLINE_S):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def never_run(explorer, index):
+    raise AssertionError(f"task {index} ran")
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_tasks_refuses_workers_below_one(workers):
+    with deadline(), pytest.raises(ValueError, match="workers"):
+        run_tasks([(0, never_run, ())], workers, never_run)
+
+
+def test_explore_refuses_zero_workers():
+    with make_explorer() as explorer, deadline(), \
+            pytest.raises(ValueError, match="workers"):
+        explorer.explore(small_candidates()[:1], workers=0)
+
+
+def test_run_sweep_refuses_zero_workers(tmp_path):
+    path = tmp_path / "tiny.json"
+    save_graph(tiny_graph(), path)
+    scenarios = [Scenario(name="a", model=str(path), batch=1, iters=4)]
+    with deadline(), pytest.raises(ValueError, match="workers"):
+        run_sweep(scenarios, out_dir=tmp_path / "sweep", workers=0)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_campaign_run_refuses_workers_below_one(tmp_path, workers):
+    with CampaignRunner(make_spec(), tmp_path) as runner, deadline(), \
+            pytest.raises(ValueError, match="workers"):
+        runner.run(workers=workers)
+
+
+COMMANDS = (["dse"], ["sweep"], ["campaign", "run", "--name", "x"])
+
+
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_cli_refuses_negative_workers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["--workers", "-1"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    # 0 still parses: the commands read it as "all CPUs".
+    assert build_parser().parse_args(argv + ["--workers", "0"]).workers == 0
