@@ -16,9 +16,9 @@ from repro.campaign import (
     CampaignInterrupted,
     CampaignRunner,
     CampaignSpec,
-    campaign_status,
     export_campaign,
 )
+from repro.campaign.view import campaign_view
 from repro.core import SASettings
 from repro.dse import DseGrid, Workload, enumerate_candidates
 from repro.perf import PERF
@@ -51,7 +51,7 @@ def main():
             runner.run(workers=2, fail_after=3)
     except CampaignInterrupted as exc:
         print(f"\ninterrupted: {exc}")
-    print(f"status after crash: {campaign_status(home, 'demo')}")
+    print(f"status after crash: {campaign_view(home, 'demo')['status']}")
 
     # 2. Resume with the same spec: only the pending candidates run.
     PERF.reset()

@@ -13,7 +13,10 @@ evaluation campaigns durable:
 * :mod:`repro.campaign.runner` — a sharded, checkpointing
   :class:`CampaignRunner` that resumes after interruption with zero
   re-evaluation and warm-starts SA from mappings of nearby
-  architectures.
+  architectures;
+* :mod:`repro.campaign.view` — the store-only campaign document behind
+  ``repro campaign status``, ``watch`` and ``report`` (imported on
+  demand, not here).
 """
 
 from repro.campaign.keys import (
@@ -38,7 +41,6 @@ from repro.campaign.runner import (
     CampaignReport,
     CampaignRunner,
     CampaignSpec,
-    campaign_status,
     export_campaign,
 )
 from repro.campaign.store import ResultStore
@@ -59,7 +61,6 @@ __all__ = [
     "arch_digest",
     "arch_distance",
     "arch_family",
-    "campaign_status",
     "candidate_key",
     "canonical_json",
     "export_campaign",

@@ -4,8 +4,10 @@ A *campaign* is a named DSE: a candidate grid x a workload list x one
 search configuration, bound to a directory.  The runner
 
 * computes the content key of every candidate up front and records them
-  in an atomic ``manifest.json`` (so ``status`` and ``export`` never
-  need to re-enumerate the grid or re-load models);
+  in an atomic ``manifest.json``, so :func:`export_campaign` and the
+  store-only view (:mod:`repro.campaign.view`, behind ``campaign
+  status``, ``watch`` and ``report``) never need to re-enumerate the
+  grid or re-load models;
 * shards the *pending* candidates — keys missing from the store —
   across a process pool, checkpointing each result into the store the
   moment it arrives;
@@ -17,7 +19,11 @@ search configuration, bound to a directory.  The runner
   (same core count, different bandwidths/cuts).  Warm sources are
   snapshotted into the manifest when the campaign is first created, so
   an interrupted-and-resumed run sees exactly the warm sources the
-  uninterrupted run saw — determinism survives the crash.
+  uninterrupted run saw — determinism survives the crash;
+* appends one run-ledger event (:mod:`repro.obs.ledger`) per start or
+  resume, checkpoint, failure, fault and finish, and closes every run
+  with a ``perf`` event: a snapshot of the whole process's ``PERF``,
+  which the runner never resets.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from repro.dse.explorer import (
     evaluate_task,
 )
 from repro.dse.objective import OBJECTIVE_MCED, Objective
-from repro.dse.pareto import AXES, pareto_front
+from repro.dse.pareto import pareto_front
 from repro.errors import ReproError
 from repro.io.atomic import atomic_write_json
 from repro.io.serialization import (
@@ -52,7 +58,7 @@ from repro.io.serialization import (
     candidate_result_from_dict,
     candidate_result_summary,
 )
-from repro.obs.ledger import LEDGER_NAME, RunLedger, failure_digest
+from repro.obs.ledger import RunLedger, failure_digest, ledger_path
 from repro.perf import PERF
 
 MANIFEST_NAME = "manifest.json"
@@ -108,16 +114,6 @@ class CampaignReport:
     @property
     def best(self) -> CandidateResult:
         return min(self.done, key=lambda r: r.score)
-
-    def best_per_objective(self) -> dict[str, CandidateResult]:
-        out = {}
-        for axis, keyfn in AXES.items():
-            if self.done:
-                out[axis] = min(self.done, key=keyfn)
-        return out
-
-    def pareto(self, axes=("edp", "mc")) -> list[CandidateResult]:
-        return pareto_front(self.done, axes)
 
 
 class CampaignRunner:
@@ -327,9 +323,6 @@ class CampaignRunner:
             if not self.store.has(KIND_CANDIDATE, key) and key not in skip
         ]
 
-    def ledger_path(self) -> Path:
-        return self.root / LEDGER_NAME
-
     @staticmethod
     def _restart_stats(result: CandidateResult) -> tuple[int, float, float]:
         """(count, mean, population variance) of the candidate's SA
@@ -505,7 +498,7 @@ class CampaignRunner:
                                         cause=cause)
             failed += 1
 
-        self._ledger = RunLedger(self.ledger_path())
+        self._ledger = RunLedger(ledger_path(self.home, self.spec.name))
         self._ledger.emit(
             "run_resumed" if self.resumed else "run_started",
             name=self.spec.name,
@@ -565,16 +558,10 @@ class CampaignRunner:
     def report(self, evaluated: int = 0, store_hits: int = 0,
                failed: int = 0) -> CampaignReport:
         """Assemble the campaign report from the store (candidate order)."""
-        results: list[CandidateResult | None] = []
-        for key in self.candidate_keys:
-            rec = self.store.get(KIND_CANDIDATE, key)
-            results.append(
-                None if rec is None else candidate_result_from_dict(rec)
-            )
         quarantined = self.store.quarantined_keys(KIND_CANDIDATE)
         return CampaignReport(
             name=self.spec.name,
-            results=results,
+            results=stored_results(self.store, self.candidate_keys),
             objective=self.spec.objective,
             evaluated=evaluated,
             store_hits=store_hits,
@@ -596,11 +583,13 @@ class CampaignRunner:
 
 
 # ----------------------------------------------------------------------
-# Directory-level status / export (no models or grids needed)
+# Directory-level reads (no models or grids needed)
 # ----------------------------------------------------------------------
 
 
-def _load_manifest(home: str | Path, name: str) -> dict:
+def load_manifest(home: str | Path, name: str) -> dict:
+    """The manifest of campaign ``name``; :class:`CampaignError` when it
+    is missing or unparseable."""
     import json
 
     path = Path(home) / name / MANIFEST_NAME
@@ -615,45 +604,13 @@ def _load_manifest(home: str | Path, name: str) -> dict:
         ) from exc
 
 
-def campaign_status(home: str | Path, name: str) -> dict:
-    """Done/pending/failed counts + best-so-far per objective axis.
-
-    Works purely from the manifest and the store — models are never
-    loaded, so status on a huge campaign is instant.
-    """
-    manifest = _load_manifest(home, name)
-    store = ResultStore(Path(home) / STORE_DIR)
-    keys = manifest["candidate_keys"]
-    done_results = []
-    for key in keys:
-        rec = store.get(KIND_CANDIDATE, key)
-        if rec is not None:
-            done_results.append(candidate_result_from_dict(rec))
-    key_set = set(keys)
-    failed = {
-        k for k in store.failed_keys(KIND_CANDIDATE) if k in key_set
-    }
-    quarantined = {
-        k for k in store.quarantined_keys(KIND_CANDIDATE) if k in key_set
-    }
-    best = {}
-    for axis, keyfn in AXES.items():
-        if done_results:
-            r = min(done_results, key=keyfn)
-            best[axis] = {
-                "arch": r.arch.paper_tuple(),
-                "value": keyfn(r),
-            }
-    return {
-        "name": manifest["name"],
-        "total": len(keys),
-        "done": len(done_results),
-        "failed": len(failed),
-        "quarantined": len(quarantined),
-        "pending": len(keys) - len(done_results) - len(quarantined),
-        "warm_started": sum(1 for r in done_results if r.warm_started),
-        "best": best,
-    }
+def stored_results(store: ResultStore,
+                   keys: list[str]) -> list[CandidateResult | None]:
+    """The stored result of each candidate key, in key order; ``None``
+    where the store holds no result for the key."""
+    recs = (store.get(KIND_CANDIDATE, key) for key in keys)
+    return [None if rec is None else candidate_result_from_dict(rec)
+            for rec in recs]
 
 
 def export_campaign(
@@ -670,16 +627,13 @@ def export_campaign(
     """
     from repro.reporting import write_csv
 
-    manifest = _load_manifest(home, name)
+    manifest = load_manifest(home, name)
     store = ResultStore(Path(home) / STORE_DIR)
     dest = Path(dest) if dest is not None else Path(home) / name / "export"
     dest.mkdir(parents=True, exist_ok=True)
 
-    indexed: list[tuple[int, CandidateResult]] = []
-    for i, key in enumerate(manifest["candidate_keys"]):
-        rec = store.get(KIND_CANDIDATE, key)
-        if rec is not None:
-            indexed.append((i, candidate_result_from_dict(rec)))
+    results = stored_results(store, manifest["candidate_keys"])
+    indexed = [(i, r) for i, r in enumerate(results) if r is not None]
 
     def row_dict(i: int, r: CandidateResult) -> dict:
         out = {"candidate": i, **candidate_result_summary(r)}

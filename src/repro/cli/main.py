@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -151,6 +152,21 @@ def positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def positive_seconds(text: str) -> float:
+    """argparse type for periods that must be finite and > 0 (the
+    watch refresh interval: 0 would re-scan the store in a busy loop,
+    and ``time.sleep`` rejects negative and NaN values)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text}")
+    return value
+
+
 def non_negative_int(text: str) -> int:
     """argparse type for counts where 0 has a meaning (SA iterations,
     0 being the T-Map baseline or a sweep's scenario default; worker
@@ -214,6 +230,7 @@ def engine_for(arch: ArchConfig, iterations: int, seed: int = 0,
 def profile_report(args, extra: dict | None = None) -> None:
     """``--profile``: print the perf counters and write BENCH_perf.json."""
     from repro.perf import PERF, emit_bench
+    from repro.perf.counters import cache_table
 
     snap = PERF.snapshot()
     # Spans belong in the --trace file; a span dump would bloat
@@ -226,14 +243,7 @@ def profile_report(args, extra: dict | None = None) -> None:
     caches = PERF.cache_stats()
     if caches:
         print()
-        print(format_table(
-            ["cache", "hits", "misses", "hit rate"],
-            [
-                [name, int(s["hits"]), int(s["misses"]),
-                 f"{s['hit_rate']:.1%}"]
-                for name, s in sorted(caches.items())
-            ],
-        ))
+        print(cache_table(caches))
     payload = dict(extra or {})
     payload["perf"] = snap
     payload["caches"] = caches
@@ -602,25 +612,22 @@ def cmd_campaign_run(args) -> int:
     return 0
 
 
-def cmd_campaign_status(args) -> int:
-    from repro.campaign import CampaignError, campaign_status
-    from repro.dse.pareto import AXES
+def campaign_document(args) -> dict:
+    """The store-only campaign view; exits on a missing or corrupt
+    manifest."""
+    from repro.campaign import CampaignError
+    from repro.campaign.view import campaign_view
 
     try:
-        status = campaign_status(args.out, args.name)
+        return campaign_view(args.out, args.name)
     except CampaignError as exc:
         raise SystemExit(str(exc)) from exc
-    print(f"campaign {status['name']!r}: {status['done']}/{status['total']} "
-          f"done, {status['pending']} pending, {status['failed']} failed, "
-          f"{status.get('quarantined', 0)} quarantined, "
-          f"{status['warm_started']} warm-started")
-    rows = [
-        [axis, status["best"][axis]["arch"], status["best"][axis]["value"]]
-        for axis in AXES if axis in status["best"]
-    ]
-    if rows:
-        print()
-        print(format_table(["objective", "best arch", "value"], rows))
+
+
+def cmd_campaign_status(args) -> int:
+    from repro.campaign.view import render_status
+
+    print(render_status(campaign_document(args)))
     return 0
 
 
@@ -637,30 +644,37 @@ def cmd_campaign_export(args) -> int:
 
 
 def cmd_campaign_watch(args) -> int:
-    from repro.campaign import CampaignError
-    from repro.obs.watch import campaign_watch
+    """Render the campaign until interrupted (or once).  ``--json``
+    prints each frame as one JSON line: the view without its
+    per-candidate list, the one part that grows with the campaign."""
+    import time
+
+    from repro.campaign.view import render_watch
 
     try:
-        return campaign_watch(
-            args.out, args.name, once=args.once, interval=args.interval,
-            as_json=args.json,
-        )
-    except CampaignError as exc:
-        raise SystemExit(str(exc)) from exc
+        while True:
+            doc = campaign_document(args)
+            if args.json:
+                del doc["candidates"]
+                frame = json.dumps(doc, sort_keys=True)
+            else:
+                frame = render_watch(doc)
+                if not args.once and sys.stdout.isatty():
+                    frame = "\x1b[2J\x1b[H" + frame
+            print(frame, flush=True)
+            if args.once:
+                return 0
+            time.sleep(args.interval)
+    except KeyboardInterrupt:
+        return 0
 
 
 def cmd_campaign_report(args) -> int:
-    from repro.campaign import CampaignError
-    from repro.obs.diag import campaign_report_data, render_campaign_report
+    from repro.campaign.view import render_report
 
-    try:
-        data = campaign_report_data(args.out, args.name)
-    except CampaignError as exc:
-        raise SystemExit(str(exc)) from exc
-    if args.json:
-        print(json.dumps(data, sort_keys=True))
-    else:
-        print(render_campaign_report(data))
+    doc = campaign_document(args)
+    print(json.dumps(doc, sort_keys=True) if args.json
+          else render_report(doc))
     return 0
 
 
@@ -1017,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default="campaigns")
     c.add_argument("--once", action="store_true",
                    help="render one frame and exit (scripts / CI)")
-    c.add_argument("--interval", type=float, default=2.0,
+    c.add_argument("--interval", type=positive_seconds, default=2.0,
                    help="refresh period in seconds")
     c.add_argument("--json", action="store_true",
                    help="emit each frame as one JSON line (dashboards, "

@@ -58,9 +58,6 @@ class Region:
     def volume(self) -> int:
         return self.h_size * self.w_size * self.b_size * self.k_size
 
-    def is_empty(self) -> bool:
-        return self.volume() <= 0
-
     def intersection_volume(self, other: "Region") -> int:
         h = min(self.h_hi, other.h_hi) - max(self.h_lo, other.h_lo)
         w = min(self.w_hi, other.w_hi) - max(self.w_lo, other.w_lo)
@@ -132,17 +129,6 @@ class ParsedGroup:
 
     def layer(self, name: str) -> ParsedLayer:
         return self.layers[name]
-
-
-def part_region(layer: Layer, scheme: MappingScheme, batch_unit: int,
-                h: int, w: int, b: int, k: int) -> Region:
-    """Ofmap region of part (h, w, b, k) under near-equal splits."""
-    part = scheme.part
-    h_lo, h_hi = split_range(layer.out_h, part.h, h)
-    w_lo, w_hi = split_range(layer.out_w, part.w, w)
-    b_lo, b_hi = split_range(batch_unit, part.b, b)
-    k_lo, k_hi = split_range(layer.out_k, part.k, k)
-    return Region(h_lo, h_hi, w_lo, w_hi, b_lo, b_hi, k_lo, k_hi)
 
 
 def _workload_for(layer: Layer, region: Region) -> CoreWorkload:

@@ -117,12 +117,6 @@ class DseReport:
             out.setdefault(r.arch.n_chiplets, []).append(r)
         return out
 
-    def by_core_count(self) -> dict[int, list[CandidateResult]]:
-        out: dict[int, list[CandidateResult]] = {}
-        for r in self.results:
-            out.setdefault(r.arch.n_cores, []).append(r)
-        return out
-
 
 def geomean(values: list[float]) -> float:
     if not values:

@@ -18,11 +18,6 @@ from repro.arch.energy import EnergyModel
 from repro.arch.params import ArchConfig
 from repro.evalmodel.breakdown import EnergyBreakdown
 from repro.evalmodel.traffic_analysis import GroupTraffic
-from repro.intracore.result import IntraCoreResult
-
-
-def intra_energy(intra: dict[str, list[IntraCoreResult]]) -> float:
-    return sum(res.energy for results in intra.values() for res in results)
 
 
 def network_energy(
@@ -39,22 +34,6 @@ def network_energy(
 
 def dram_energy(traffic: GroupTraffic, energy: EnergyModel) -> float:
     return float(traffic.dram_round_bytes.sum()) * energy.e_dram
-
-
-def group_energy(
-    arch: ArchConfig,
-    energy: EnergyModel,
-    intra: dict[str, list[IntraCoreResult]],
-    traffic: GroupTraffic,
-    rounds: int,
-    stage_time: float,
-    n_d2d_interfaces: int,
-) -> EnergyBreakdown:
-    """Total energy of one layer group over a full inference."""
-    return group_energy_from_intra(
-        arch, energy, intra_energy(intra), traffic, rounds,
-        stage_time, n_d2d_interfaces,
-    )
 
 
 def group_energy_from_intra(

@@ -124,18 +124,6 @@ class OpGraph:
                     out[src].append(node.name)
         return out
 
-    def input_shape_of(self, node: OpNode) -> tuple[int, int, int]:
-        """Shape of a node's first operand (producer or graph input)."""
-        if not node.inputs or node.inputs[0] == GRAPH_INPUT:
-            return self.input_shape
-        shape = self.nodes[node.inputs[0]].shape
-        if shape is None:
-            raise InvalidWorkloadError(
-                f"node {node.name!r}: producer {node.inputs[0]!r} has no "
-                "inferred shape (run infer_shapes first)"
-            )
-        return shape
-
     # ------------------------------------------------------------------
 
     def remove(self, name: str, rewire_to: str | None = None) -> None:

@@ -93,7 +93,3 @@ class TrafficMap:
         if window_s <= 0:
             return np.zeros_like(self.volumes)
         return self.volumes / (self._bandwidths * window_s)
-
-    def nonzero_links(self) -> list[tuple[int, float]]:
-        idx = np.nonzero(self.volumes)[0]
-        return [(int(i), float(self.volumes[i])) for i in idx]

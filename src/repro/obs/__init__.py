@@ -5,11 +5,6 @@ through the same ``PERF.snapshot()``/``PERF.merge()`` round trip the
 counters already make — and stays importable from every layer above
 ``repro.perf`` (``repro.io`` is imported lazily, like
 :mod:`repro.perf.bench`).
-
-:mod:`repro.obs.watch` is deliberately *not* imported here: it depends
-on :mod:`repro.campaign.runner`, which itself uses the ledger, and
-eager import would cycle.  ``repro campaign watch`` imports it
-directly.
 """
 
 from repro.obs.diag import (
@@ -17,7 +12,6 @@ from repro.obs.diag import (
     DiagAggregator,
     SARunDiag,
     StreamingMoments,
-    render_campaign_report,
     render_sa_diag,
     sparkline,
 )
@@ -58,7 +52,6 @@ __all__ = [
     "profile_rows",
     "prometheus_text",
     "read_ledger",
-    "render_campaign_report",
     "render_sa_diag",
     "sparkline",
     "trace",

@@ -364,204 +364,3 @@ def render_sa_diag(restart_diags: list[dict]) -> str:
         lines.append("")
         lines.append(format_table(OPERATOR_HEADERS, operator_rows(merged)))
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Store-only campaign report
-# ----------------------------------------------------------------------
-
-
-def campaign_report_data(home, name) -> dict:
-    """Assemble the search-quality report of a campaign, store-only.
-
-    Joins the manifest (candidate order), the result store (scores,
-    per-workload diagnostics) and the run ledger (per-pid operator
-    stats from the final perf event, failure digests).  Imports are
-    lazy for the same reason :mod:`repro.obs.watch` is kept out of
-    ``repro.obs.__init__``: the campaign layer sits above this one.
-    """
-    from pathlib import Path
-
-    from repro.campaign.runner import STORE_DIR, _load_manifest
-    from repro.campaign.store import KIND_CANDIDATE, ResultStore
-    from repro.io.serialization import candidate_result_from_dict
-    from repro.obs.ledger import LEDGER_NAME, read_ledger
-
-    manifest = _load_manifest(home, name)
-    store = ResultStore(Path(home) / STORE_DIR)
-    events, skipped = read_ledger(Path(home) / name / LEDGER_NAME)
-
-    candidates = []
-    warm_itb, cold_itb = [], []
-    for i, key in enumerate(manifest["candidate_keys"]):
-        rec = store.get(KIND_CANDIDATE, key)
-        if rec is None:
-            continue
-        result = candidate_result_from_dict(rec)
-        itb = (sum(result.iters_to_best.values())
-               / len(result.iters_to_best)) if result.iters_to_best else None
-        if itb is not None:
-            (warm_itb if result.warm_started else cold_itb).append(itb)
-        curves = {}
-        for wl, diag in sorted(result.sa_diag.items()):
-            restarts = diag.get("restarts", [])
-            if not restarts:
-                continue
-            # The winning restart is the cheapest one.
-            best = min(
-                restarts,
-                key=lambda d: d.get("final_cost", float("inf")),
-            )
-            curves[wl] = curve_summary(best)
-        candidates.append({
-            "index": i,
-            "arch": result.arch.paper_tuple(),
-            "score": result.score,
-            "warm_started": result.warm_started,
-            "iters_to_best": result.iters_to_best,
-            "operator_uses": result.operator_uses,
-            "curves": curves,
-        })
-
-    perf_event = next(
-        (ev for ev in reversed(events) if ev.get("event") == "perf"), None
-    )
-    diag_by_pid = (perf_event or {}).get("diag", {}) or {}
-
-    failures: dict[str, dict] = {}
-    for ev in events:
-        if ev.get("event") != "candidate_failed":
-            continue
-        digest = ev.get("digest", "?")
-        slot = failures.setdefault(
-            digest, {"count": 0, "error": ev.get("error", ""), "indices": []}
-        )
-        slot["count"] += 1
-        slot["indices"].append(ev.get("index"))
-
-    # Poison candidates, keyed by index (later verdicts win: a
-    # re-quarantine after --retry-quarantined updates the row).
-    quarantined: dict[int, dict] = {}
-    for ev in events:
-        if ev.get("event") != "candidate_quarantined":
-            continue
-        quarantined[ev.get("index", -1)] = {
-            "index": ev.get("index"),
-            "cause": ev.get("cause", "?"),
-            "attempts": ev.get("attempts", 0),
-            "error": ev.get("error", ""),
-            "digest": ev.get("digest", "?"),
-        }
-
-    def _mean(xs):
-        return sum(xs) / len(xs) if xs else None
-
-    return {
-        "name": manifest["name"],
-        "total": len(manifest["candidate_keys"]),
-        "done": len(candidates),
-        "candidates": candidates,
-        "iters_to_best": {
-            "warm_mean": _mean(warm_itb), "warm_runs": len(warm_itb),
-            "cold_mean": _mean(cold_itb), "cold_runs": len(cold_itb),
-        },
-        "diag_by_pid": diag_by_pid,
-        "failures": failures,
-        "quarantined": sorted(quarantined.values(),
-                              key=lambda q: q["index"]),
-        "ledger_skipped": skipped,
-    }
-
-
-def render_campaign_report(data: dict) -> str:
-    """One text frame of :func:`campaign_report_data`."""
-    from repro.reporting import format_table
-
-    lines = [
-        f"campaign {data['name']!r} search report — "
-        f"{data['done']}/{data['total']} candidates evaluated",
-    ]
-
-    rows = []
-    for cand in data["candidates"]:
-        if cand["curves"]:
-            for wl, cs in sorted(cand["curves"].items()):
-                rows.append([
-                    cand["index"], cand["arch"], f"{cand['score']:.4g}",
-                    "warm" if cand["warm_started"] else "cold",
-                    wl, cand["iters_to_best"].get(wl, "-"),
-                    f"{cs['initial']:.3g}→{cs['final']:.3g}",
-                    cs["spark"],
-                ])
-        else:
-            rows.append([
-                cand["index"], cand["arch"], f"{cand['score']:.4g}",
-                "warm" if cand["warm_started"] else "cold",
-                "-", "-", "-", "",
-            ])
-    if rows:
-        lines.append("")
-        lines.append(format_table(
-            ["cand", "arch", "score", "start", "workload", "best@",
-             "cost", "convergence"],
-            rows,
-        ))
-
-    itb = data["iters_to_best"]
-    if itb["warm_runs"] or itb["cold_runs"]:
-        lines.append("")
-        lines.append(format_table(
-            ["start", "runs", "mean iters-to-best"],
-            [
-                ["warm", itb["warm_runs"],
-                 f"{itb['warm_mean']:.1f}" if itb["warm_mean"] is not None
-                 else "-"],
-                ["cold", itb["cold_runs"],
-                 f"{itb['cold_mean']:.1f}" if itb["cold_mean"] is not None
-                 else "-"],
-            ],
-        ))
-
-    if data["diag_by_pid"]:
-        lines.append("")
-        lines.append("operator effectiveness (per shard pid, last run):")
-        rows = []
-        for pid, ops in sorted(data["diag_by_pid"].items()):
-            for row in operator_rows(ops):
-                rows.append([pid, *row])
-        lines.append(format_table(["pid", *OPERATOR_HEADERS], rows))
-        merged = merged_operator_table(data["diag_by_pid"])
-        lines.append("")
-        lines.append("pooled over shards:")
-        lines.append(format_table(OPERATOR_HEADERS, operator_rows(merged)))
-
-    if data["failures"]:
-        lines.append("")
-        rows = [
-            [digest, rec["count"],
-             ",".join(str(i) for i in rec["indices"][:8]),
-             rec["error"][:60]]
-            for digest, rec in sorted(data["failures"].items())
-        ]
-        lines.append(format_table(
-            ["failure digest", "count", "candidates", "error"], rows,
-        ))
-
-    if data.get("quarantined"):
-        lines.append("")
-        lines.append("quarantined (poison) candidates — resume skips "
-                     "these; re-try with --retry-quarantined:")
-        rows = [
-            [q["index"], q["cause"], q["attempts"], q["digest"],
-             q["error"][:60]]
-            for q in data["quarantined"]
-        ]
-        lines.append(format_table(
-            ["cand", "cause", "attempts", "digest", "error"], rows,
-        ))
-
-    if data["ledger_skipped"]:
-        lines.append("")
-        lines.append(f"ledger: {data['ledger_skipped']} unparseable line(s) "
-                     "skipped")
-    return "\n".join(lines)

@@ -4,8 +4,12 @@ Every campaign run appends one line per notable event — run started or
 resumed, candidate evaluated (with duration and the mean/variance of
 its per-restart SA wall times), candidate failed (with a traceback
 digest), run interrupted/finished, final perf snapshot — into
-``<home>/<name>/ledger.jsonl``.  ``repro campaign watch`` tails this
-file store-only; no models, grids or evaluators are ever loaded.
+``<home>/<name>/ledger.jsonl`` (:func:`ledger_path`).  The store-only
+campaign view (:mod:`repro.campaign.view`, behind ``repro campaign
+watch`` and ``report``) reads it without loading models, grids or
+evaluators; shard health, throughput, caches and operator tables come
+from the latest run's events, from its last ``run_started`` or
+``run_resumed`` on.
 
 Durability follows the :class:`~repro.campaign.store.ResultStore`
 conventions: a single writer appends flushed whole lines, and the
@@ -28,6 +32,11 @@ from repro.perf.counters import PERF
 
 #: Ledger file name inside a campaign directory.
 LEDGER_NAME = "ledger.jsonl"
+
+
+def ledger_path(home: str | Path, name: str) -> Path:
+    """The ledger of campaign ``name`` in campaigns home ``home``."""
+    return Path(home) / name / LEDGER_NAME
 
 
 class RunLedger:

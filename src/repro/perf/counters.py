@@ -92,6 +92,43 @@ def _named_lru_counters() -> dict[str, float]:
     return out
 
 
+def cache_stats(counters: dict) -> dict[str, dict]:
+    """Hit/miss/ratio per ``<prefix>.hits/.misses`` pair in a counter
+    dict (the live registry's, or a snapshot shipped in a ledger)."""
+    out: dict[str, dict] = {}
+    for name in counters:
+        if name.endswith(".hits"):
+            prefix = name[: -len(".hits")]
+        elif name.endswith(".misses"):
+            prefix = name[: -len(".misses")]
+        else:
+            continue
+        if prefix in out:
+            continue
+        hits = counters.get(f"{prefix}.hits", 0)
+        misses = counters.get(f"{prefix}.misses", 0)
+        total = hits + misses
+        out[prefix] = {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / total if total else 0.0,
+        }
+    return out
+
+
+def cache_table(stats: dict[str, dict]) -> str:
+    """The text table of a :func:`cache_stats` dict, one row per cache."""
+    from repro.reporting.tables import format_table
+
+    return format_table(
+        ["cache", "hits", "misses", "hit rate"],
+        [
+            [name, int(s["hits"]), int(s["misses"]), f"{s['hit_rate']:.1%}"]
+            for name, s in sorted(stats.items())
+        ],
+    )
+
+
 class PerfRegistry:
     """Named counters plus labelled wall-clock timers."""
 
@@ -150,7 +187,7 @@ class PerfRegistry:
         return hits / total if total else 0.0
 
     def cache_stats(self) -> dict[str, dict]:
-        """Hit/miss/ratio per cache reporting ``<prefix>.hits/.misses``.
+        """:func:`cache_stats` of the live registry.
 
         Covers both the named :class:`LruDict` counters (``lru.*``,
         live caches plus whatever worker snapshots merged in) and
@@ -159,25 +196,7 @@ class PerfRegistry:
         counters = dict(self._counters)
         for name, value in _named_lru_counters().items():
             counters[name] = counters.get(name, 0) + value
-        out: dict[str, dict] = {}
-        for name, value in counters.items():
-            if name.endswith(".hits"):
-                prefix = name[: -len(".hits")]
-            elif name.endswith(".misses"):
-                prefix = name[: -len(".misses")]
-            else:
-                continue
-            if prefix in out:
-                continue
-            hits = counters.get(f"{prefix}.hits", 0)
-            misses = counters.get(f"{prefix}.misses", 0)
-            total = hits + misses
-            out[prefix] = {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / total if total else 0.0,
-            }
-        return out
+        return cache_stats(counters)
 
     def snapshot(self) -> dict:
         """A JSON-friendly copy of every counter and timer.

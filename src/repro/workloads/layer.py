@@ -184,15 +184,6 @@ class Layer:
         # ELTWISE / VECTOR: one op per output element.
         return spatial
 
-    def is_compute_heavy(self) -> bool:
-        """True for layers executed on the PE array (GEMM/Conv family)."""
-        return self.kind in (
-            LayerType.CONV,
-            LayerType.FC,
-            LayerType.DWCONV,
-            LayerType.MATMUL,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{self.name}[{self.kind.value} "

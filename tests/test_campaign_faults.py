@@ -13,10 +13,10 @@ from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     RetryPolicy,
-    campaign_status,
     export_campaign,
 )
 from repro.campaign.store import KIND_CANDIDATE, ResultStore
+from repro.campaign.view import campaign_view, render_report, render_watch
 from repro.core.sa import SASettings
 from repro.dse import DseGrid, Workload, enumerate_candidates
 from repro.obs.ledger import LEDGER_NAME, read_ledger
@@ -172,7 +172,7 @@ class TestQuarantine:
         assert ev["attempts"] == 2
 
         # Status accounts for it; resume skips it without chaos armed.
-        status = campaign_status(home, "camp")
+        status = campaign_view(home, "camp")["status"]
         assert status["quarantined"] == 1
         assert status["pending"] == 0
         assert status["done"] == N - 1
@@ -202,7 +202,7 @@ class TestQuarantine:
         assert report.evaluated == 1
         assert report.quarantined == 0  # success supersedes the poison
         assert all(r is not None for r in report.results)
-        assert campaign_status(home, "camp")["quarantined"] == 0
+        assert campaign_view(home, "camp")["status"]["quarantined"] == 0
 
 
 class TestStoreFaults:
@@ -281,16 +281,13 @@ class TestAcceptance:
 
 class TestHealthSurfaces:
     def test_watch_and_report_surface_fault_health(self, tmp_path):
-        from repro.obs.diag import campaign_report_data, render_campaign_report
-        from repro.obs.watch import render_watch, watch_snapshot
-
         home = tmp_path / "camp"
         plan = parse_chaos(f"crash:{N - 1}:9")
         with CampaignRunner(make_spec(), home) as runner:
             runner.run(workers=2, policy=RetryPolicy(max_attempts=2),
                        chaos=plan)
 
-        snap = watch_snapshot(home, "camp")
+        snap = campaign_view(home, "camp")
         assert snap["faults"]["worker_deaths"] >= 1
         assert snap["faults"]["quarantined"] == 1
         assert snap["faults"]["pool_respawns"] >= 1
@@ -300,9 +297,9 @@ class TestHealthSurfaces:
         assert "1 quarantined" in frame
         assert "poison" in frame  # shard health column
 
-        data = campaign_report_data(home, "camp")
+        data = campaign_view(home, "camp")
         assert [q["index"] for q in data["quarantined"]] == [N - 1]
-        text = render_campaign_report(data)
+        text = render_report(data)
         assert "quarantined (poison) candidates" in text
         assert "--retry-quarantined" in text
 

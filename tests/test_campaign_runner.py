@@ -17,9 +17,9 @@ from repro.campaign import (
     CampaignInterrupted,
     CampaignRunner,
     CampaignSpec,
-    campaign_status,
     export_campaign,
 )
+from repro.campaign.view import campaign_view
 from repro.core.sa import SASettings
 from repro.dse import (
     DesignSpaceExplorer,
@@ -87,7 +87,7 @@ class TestCrashResume:
             with CampaignRunner(make_spec(), home_b) as runner:
                 runner.run(workers=1, fail_after=3)
 
-        status = campaign_status(home_b, "camp")
+        status = campaign_view(home_b, "camp")["status"]
         assert status["done"] == 3
         assert status["pending"] == n - 3
 
@@ -142,7 +142,7 @@ class TestCrashResume:
             report = runner.run(workers=1)
         assert report.failed == 1
         assert report.results[1] is None
-        assert campaign_status(home, "camp")["failed"] == 1
+        assert campaign_view(home, "camp")["status"]["failed"] == 1
 
         monkeypatch.setattr(DesignSpaceExplorer, "evaluate_candidate", real)
         with CampaignRunner(make_spec(), home) as runner:
@@ -255,7 +255,7 @@ class TestSpecGuards:
 
     def test_status_without_manifest_errors(self, tmp_path):
         with pytest.raises(CampaignError):
-            campaign_status(tmp_path, "nope")
+            campaign_view(tmp_path, "nope")
 
 
 class TestCampaignCli:

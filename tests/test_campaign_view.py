@@ -1,0 +1,207 @@
+"""The one store-only campaign view behind ``campaign status``, ``watch``
+and ``report``: the three commands agree, poison follows the store,
+both throughput rates are per-campaign, and viewing writes nothing."""
+
+import json
+import re
+import shutil
+
+import pytest
+
+from repro.campaign import (
+    CampaignInterrupted,
+    CampaignRunner,
+    CampaignSpec,
+    RetryPolicy,
+)
+from repro.campaign.view import campaign_view, render_report, render_watch
+from repro.cli.main import build_parser, main
+from repro.core.sa import SASettings
+from repro.dse import DseGrid, Workload, enumerate_candidates
+from repro.obs.ledger import ledger_path, read_ledger
+from repro.perf import PERF
+from repro.testing import parse_chaos
+from repro.workloads.graph import DNNGraph
+from repro.workloads.layer import Layer, LayerType
+
+#: SA iterations per candidate: one workload, one restart.
+ITERS = 6
+
+
+def tiny_graph(n=3):
+    g = DNNGraph("tiny")
+    prev = None
+    for i in range(n):
+        g.add_layer(
+            Layer(f"l{i}", LayerType.CONV, out_h=8, out_w=8, out_k=32,
+                  in_c=3 if prev is None else 32, kernel_r=3, kernel_s=3,
+                  pad_h=1, pad_w=1),
+            inputs=[prev] if prev else None,
+        )
+        prev = f"l{i}"
+    return g
+
+
+def small_candidates():
+    grid = DseGrid(
+        tops=8, cuts=(1, 2), dram_bw_per_tops=(1.0,), noc_bw_gbps=(32,),
+        d2d_ratio=(0.5,), glb_kb=(512, 1024), macs_per_core=(1024,),
+    )
+    return enumerate_candidates(grid)
+
+
+N = len(small_candidates())
+
+
+def make_spec():
+    return CampaignSpec(
+        name="camp",
+        candidates=small_candidates(),
+        workloads=[Workload(tiny_graph(), batch=2)],
+        sa=SASettings(iterations=ITERS, seed=11),
+        warm_start=False,
+    )
+
+
+@pytest.fixture(scope="module")
+def homes(tmp_path_factory):
+    """Three finished-or-stopped campaigns, built once and only read:
+    interrupted after 3 candidates; the last candidate quarantined as
+    poison; and that poison campaign after ``--retry-quarantined``."""
+    root = tmp_path_factory.mktemp("views")
+    PERF.reset()
+    with pytest.raises(CampaignInterrupted):
+        with CampaignRunner(make_spec(), root / "interrupted") as runner:
+            runner.run(workers=1, fail_after=3)
+    PERF.reset()
+    with CampaignRunner(make_spec(), root / "poison") as runner:
+        runner.run(workers=2, policy=RetryPolicy(max_attempts=2),
+                   chaos=parse_chaos(f"crash:{N - 1}:9"))
+    shutil.copytree(root / "poison", root / "retried")
+    PERF.reset()
+    with CampaignRunner(make_spec(), root / "retried") as runner:
+        runner.run(workers=1, retry_quarantined=True)
+    return root
+
+
+def cli(capsys, *argv) -> str:
+    capsys.readouterr()
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def drop_latest_run_end(home) -> None:
+    """Make the latest run look still in progress: remove its
+    ``run_finished``/``run_interrupted`` and ``perf`` lines."""
+    path = ledger_path(home, "camp")
+    events, _ = read_ledger(path)
+    starts = [i for i, ev in enumerate(events)
+              if ev["event"] in ("run_started", "run_resumed")]
+    keep = events[:starts[-1]] + [
+        ev for ev in events[starts[-1]:]
+        if ev["event"] not in ("run_finished", "run_interrupted", "perf")
+    ]
+    path.write_text("".join(json.dumps(ev) + "\n" for ev in keep))
+
+
+class TestPoison:
+    def test_report_drops_poison_once_a_retry_succeeds(self, homes):
+        before = campaign_view(homes / "poison", "camp")
+        assert [q["index"] for q in before["quarantined"]] == [N - 1]
+        assert before["quarantined"][0]["cause"] == "crash"
+        assert before["quarantined"][0]["attempts"] == 2
+        assert "quarantined (poison)" in render_report(before)
+
+        after = campaign_view(homes / "retried", "camp")
+        assert after["status"]["quarantined"] == 0
+        assert after["status"]["done"] == N
+        assert after["quarantined"] == []
+        assert "quarantined (poison)" not in render_report(after)
+
+
+class TestThroughput:
+    @pytest.mark.parametrize("resume", [False, True],
+                             ids=["first-run", "resumed-run"])
+    def test_sa_rate_is_unknown_until_the_run_writes_perf(
+        self, homes, tmp_path, resume
+    ):
+        home = tmp_path / "camp"
+        shutil.copytree(homes / "interrupted", home)
+        if resume:
+            PERF.reset()
+            with CampaignRunner(make_spec(), home) as runner:
+                runner.run(workers=1)
+        drop_latest_run_end(home)
+
+        doc = campaign_view(home, "camp")
+        assert doc["run_active"]
+        assert doc["resumed"] is resume
+        assert doc["cands_per_sec"] > 0
+        assert doc["sa_iters_per_sec"] is None
+        assert doc["caches"] == {} and doc["diag_by_pid"] == {}
+        frame = render_watch(doc)
+        assert "n/a SA it/s" in frame
+        assert "hit rate" not in frame
+        assert json.loads(json.dumps(doc))["sa_iters_per_sec"] is None
+
+    def test_both_rates_are_summed_over_shards(self, tmp_path):
+        PERF.reset()
+        with CampaignRunner(make_spec(), tmp_path) as runner:
+            runner.run(workers=2)
+        doc = campaign_view(tmp_path, "camp")
+        assert len(doc["shards"]) == 2
+        assert all(s["evaluated"] for s in doc["shards"].values())
+        # SA it/s over cand/s is the SA iterations per candidate,
+        # whatever the worker count.
+        assert doc["sa_iters_per_sec"] == pytest.approx(
+            ITERS * doc["cands_per_sec"]
+        )
+
+
+@pytest.mark.parametrize("interval", ["-1", "0", "nan", "inf"])
+def test_watch_rejects_a_bad_interval_at_parse_time(interval, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([
+            "campaign", "watch", "--name", "camp", "--interval", interval,
+        ])
+    assert exc.value.code == 2
+    assert "--interval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["interrupted", "poison", "retried"])
+def test_status_watch_and_report_agree(homes, case, capsys):
+    out = str(homes / case)
+    text = cli(capsys, "campaign", "status", "--name", "camp", "--out", out)
+    done, total, pending, failed, quarantined = map(int, re.match(
+        r"campaign 'camp': (\d+)/(\d+) done, (\d+) pending, (\d+) failed, "
+        r"(\d+) quarantined", text,
+    ).groups())
+    counts = {"done": done, "pending": pending, "failed": failed,
+              "quarantined": quarantined}
+    assert total == N
+
+    watch = json.loads(cli(capsys, "campaign", "watch", "--name", "camp",
+                           "--out", out, "--once", "--json"))
+    report = json.loads(cli(capsys, "campaign", "report", "--name", "camp",
+                            "--out", out, "--json"))
+    assert len(report["candidates"]) == done
+    assert len(report["quarantined"]) == quarantined
+    assert "candidates" not in watch
+    for doc in (watch, report):
+        assert {k: doc["status"][k] for k in counts} == counts
+
+
+def test_viewing_writes_nothing(homes, capsys):
+    home = homes / "poison"
+
+    def tree():
+        return {p: p.read_bytes() if p.is_file() else None
+                for p in home.rglob("*")}
+
+    before = tree()
+    campaign_view(home, "camp")
+    for argv in (["status"], ["watch", "--once"], ["watch", "--once", "--json"],
+                 ["report"], ["report", "--json"]):
+        cli(capsys, "campaign", argv[0], "--name", "camp", "--out", str(home),
+            *argv[1:])
+    assert tree() == before

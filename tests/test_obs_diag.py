@@ -7,6 +7,7 @@ import statistics
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec
+from repro.campaign.view import campaign_view, render_report
 from repro.campaign.keys import settings_digest
 from repro.cli.main import main
 from repro.core.graphpart import partition_graph
@@ -27,9 +28,7 @@ from repro.obs.diag import (
     DIAG,
     SARunDiag,
     StreamingMoments,
-    campaign_report_data,
     curve_summary,
-    render_campaign_report,
     render_sa_diag,
     sparkline,
 )
@@ -328,8 +327,8 @@ class TestCampaignReport:
     def test_store_only_report_has_curves_and_operator_stats(
         self, diag_campaign
     ):
-        data = campaign_report_data(diag_campaign, "diagcamp")
-        assert data["done"] == 2
+        data = campaign_view(diag_campaign, "diagcamp")
+        assert data["status"]["done"] == 2
         for cand in data["candidates"]:
             assert cand["curves"]
             for cs in cand["curves"].values():
@@ -340,14 +339,13 @@ class TestCampaignReport:
         assert pid == str(os.getpid())
         assert data["iters_to_best"]["cold_runs"] == 2
 
-        text = render_campaign_report(data)
+        text = render_report(data)
         assert "search report" in text
         assert "convergence" in text
         assert "pooled over shards" in text
 
     def test_ledger_perf_event_carries_diag(self, diag_campaign):
-        from repro.obs.ledger import read_ledger
-        from repro.obs.watch import ledger_path
+        from repro.obs.ledger import ledger_path, read_ledger
 
         events, _ = read_ledger(ledger_path(diag_campaign, "diagcamp"))
         perf = events[-1]
@@ -366,7 +364,7 @@ class TestCampaignReport:
                    "--out", str(diag_campaign), "--json"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["done"] == 2
+        assert data["status"]["done"] == 2
 
     def test_cli_sa_report(self, capsys):
         rc = main(["sa-report", "--model", "MBV2", "--batch", "2",

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.campaign import CampaignInterrupted, CampaignRunner, CampaignSpec
+from repro.campaign.view import campaign_view, render_watch
 from repro.cli.main import main
 from repro.core.engine import MappingEngine, MappingEngineSettings
 from repro.core.sa import SASettings
@@ -18,18 +19,7 @@ from repro.io.serialization import (
     candidate_result_from_dict,
     candidate_result_to_dict,
 )
-from repro.obs.ledger import read_ledger
-from repro.obs.watch import (
-    EVENT_EVALUATED,
-    EVENT_FINISHED,
-    EVENT_INTERRUPTED,
-    EVENT_PERF,
-    EVENT_RUN_RESUMED,
-    EVENT_RUN_STARTED,
-    ledger_path,
-    render_watch,
-    watch_snapshot,
-)
+from repro.obs.ledger import ledger_path, read_ledger
 from repro.perf import PERF
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer, LayerType
@@ -91,10 +81,10 @@ class TestLedgerEvents:
         )
         assert skipped == 0
         names = [e["event"] for e in events]
-        assert names[0] == EVENT_RUN_STARTED
-        assert names.count(EVENT_EVALUATED) == 3
-        assert EVENT_INTERRUPTED in names
-        assert names[-1] == EVENT_PERF
+        assert names[0] == "run_started"
+        assert names.count("candidate_evaluated") == 3
+        assert "run_interrupted" in names
+        assert names[-1] == "perf"
 
         start = events[0]
         assert start["name"] == "camp"
@@ -102,7 +92,7 @@ class TestLedgerEvents:
         assert start["pending"] == N_CANDIDATES
 
         for ev in events:
-            if ev["event"] != EVENT_EVALUATED:
+            if ev["event"] != "candidate_evaluated":
                 continue
             assert ev["key"] and ev["duration_s"] > 0
             assert ev["score"] > 0
@@ -123,16 +113,16 @@ class TestLedgerEvents:
             runner.run(workers=1)
         events, _ = read_ledger(ledger_path(interrupted_campaign, "camp"))
         names = [e["event"] for e in events]
-        assert EVENT_RUN_RESUMED in names
-        assert EVENT_FINISHED in names
-        finished = next(e for e in events if e["event"] == EVENT_FINISHED)
+        assert "run_resumed" in names
+        assert "run_finished" in names
+        finished = next(e for e in events if e["event"] == "run_finished")
         assert finished["evaluated"] == N_CANDIDATES - 3
         assert finished["store_hits"] == 3
 
 
 class TestWatchSnapshot:
     def test_interrupted_campaign_store_only_view(self, interrupted_campaign):
-        snap = watch_snapshot(interrupted_campaign, "camp")
+        snap = campaign_view(interrupted_campaign, "camp")
         assert snap["status"]["done"] == 3
         assert snap["status"]["pending"] == N_CANDIDATES - 3
         assert snap["runs"] == 1
@@ -155,7 +145,7 @@ class TestWatchSnapshot:
     ):
         with CampaignRunner(make_spec(), interrupted_campaign) as runner:
             runner.run(workers=1)
-        snap = watch_snapshot(interrupted_campaign, "camp")
+        snap = campaign_view(interrupted_campaign, "camp")
         assert snap["runs"] == 2
         assert snap["resumed"]
         assert not snap["run_active"]
@@ -172,7 +162,7 @@ class TestWatchSnapshot:
         path = ledger_path(interrupted_campaign, "camp")
         with open(path, "a") as fh:
             fh.write('{"event": "candidate_eva')
-        snap = watch_snapshot(interrupted_campaign, "camp")
+        snap = campaign_view(interrupted_campaign, "camp")
         assert snap["ledger_skipped"] == 1
         assert snap["status"]["done"] == 3
 
@@ -181,7 +171,7 @@ class TestRender:
     def test_frame_contains_progress_shards_and_throughput(
         self, interrupted_campaign
     ):
-        frame = render_watch(watch_snapshot(interrupted_campaign, "camp"))
+        frame = render_watch(campaign_view(interrupted_campaign, "camp"))
         assert "campaign 'camp'" in frame
         assert f"3/{N_CANDIDATES} done, {N_CANDIDATES - 3} pending" in frame
         assert "cand/s" in frame and "SA it/s" in frame

@@ -222,8 +222,8 @@ class TestDurability:
             CampaignError,
             CampaignRunner,
             CampaignSpec,
-            campaign_status,
         )
+        from repro.campaign.view import campaign_view
         from repro.core.sa import SASettings
         from repro.dse import (
             DseGrid,
@@ -259,7 +259,7 @@ class TestDurability:
         manifest = tmp_path / "camp" / "manifest.json"
         manifest.write_text("{definitely not json")
         with pytest.raises(CampaignError, match="corrupt"):
-            campaign_status(tmp_path, "camp")
+            campaign_view(tmp_path, "camp")
 
         PERF.reset()
         with CampaignRunner(spec(), tmp_path) as runner:
@@ -268,5 +268,5 @@ class TestDurability:
         assert report.evaluated == 0
         assert report.store_hits == first.evaluated
         # The manifest is whole again; status works.
-        assert campaign_status(tmp_path, "camp")["done"] == \
+        assert campaign_view(tmp_path, "camp")["status"]["done"] == \
             first.evaluated
