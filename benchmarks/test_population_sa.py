@@ -18,8 +18,9 @@ the first N walkers' group-0 states for each batch size, assert the
 batched results are bit-identical to the N=1 call, then time
 repeated warm evaluations of both.  Ratios use process CPU time —
 wall clock on shared runners can stall one side by 2x and flake any
-floor.  Samples (mean/var/n) land in the history file so the Welch
-regression gate tracks run-to-run drift.
+floor.  Every sample is recorded with its mean/var/n in
+``BENCH_perf.json`` so run-to-run drift stays visible next to the
+asserted ratio.
 """
 
 import os
@@ -115,7 +116,7 @@ def test_population_eval_throughput(benchmark):
                 samples = {"batched": [], "serial": []}
                 # Interleave the two paths so host-speed drift hits
                 # them equally; keep the best of three (the asserted
-                # ratio) plus every sample (the Welch-gated history).
+                # ratio) plus every sample (recorded with mean/var).
                 for _ in range(3):
                     t0 = time.process_time()
                     for _ in range(rep):

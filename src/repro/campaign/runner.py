@@ -604,6 +604,16 @@ def load_manifest(home: str | Path, name: str) -> dict:
         ) from exc
 
 
+def load_store(home: str | Path) -> ResultStore:
+    """The result store of a campaign home, for reading;
+    :class:`CampaignError` when it is missing, since opening a
+    :class:`ResultStore` creates its directories."""
+    root = Path(home) / STORE_DIR
+    if not (root / "segments").is_dir():
+        raise CampaignError(f"no result store at {root}")
+    return ResultStore(root)
+
+
 def stored_results(store: ResultStore,
                    keys: list[str]) -> list[CandidateResult | None]:
     """The stored result of each candidate key, in key order; ``None``
@@ -628,7 +638,7 @@ def export_campaign(
     from repro.reporting import write_csv
 
     manifest = load_manifest(home, name)
-    store = ResultStore(Path(home) / STORE_DIR)
+    store = load_store(home)
     dest = Path(dest) if dest is not None else Path(home) / name / "export"
     dest.mkdir(parents=True, exist_ok=True)
 

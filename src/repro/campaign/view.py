@@ -13,8 +13,9 @@ ledger event on.  Both rates are summed over shards, which run in
 parallel: cand/s adds each shard's evaluated count over its busy time,
 and SA it/s is cand/s times the run's SA iterations per evaluated
 candidate, read from its final ``perf`` event — ``None`` (and no caches
-or operator tables) until that event is written.  ``quarantined`` lists
-the store's poison candidates; the ledger only details them.
+or operator tables) until that event is written.  ``failures`` and
+``quarantined`` list the candidates the store still holds as failed or
+poison; the ledger only details them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.campaign.runner import STORE_DIR, load_manifest, stored_results
-from repro.campaign.store import KIND_CANDIDATE, ResultStore
+from repro.campaign.runner import load_manifest, load_store, stored_results
+from repro.campaign.store import KIND_CANDIDATE
 from repro.dse.pareto import AXES
 from repro.obs.diag import (
     OPERATOR_HEADERS,
@@ -58,7 +59,7 @@ def campaign_view(home: str | Path, name: str,
     """Progress, latest-run health and search quality of one campaign."""
     manifest = load_manifest(home, name)
     # Never closed: ResultStore.close() rewrites index.json.
-    store = ResultStore(Path(home) / STORE_DIR)
+    store = load_store(home)
     events, skipped = read_ledger(ledger_path(home, name))
     keys = manifest["candidate_keys"]
     done = [(i, r) for i, r in enumerate(stored_results(store, keys))
@@ -133,7 +134,7 @@ def campaign_view(home: str | Path, name: str,
     failures: dict[str, dict] = {}
     verdicts: dict[str, dict] = {}
     for ev in events:
-        if ev["event"] == "candidate_failed":
+        if ev["event"] == "candidate_failed" and ev.get("key") in failed:
             slot = failures.setdefault(ev.get("digest", "?"), {
                 "count": 0, "error": ev.get("error", ""), "indices": [],
             })

@@ -170,7 +170,7 @@ def positive_seconds(text: str) -> float:
 def non_negative_int(text: str) -> int:
     """argparse type for counts where 0 has a meaning (SA iterations,
     0 being the T-Map baseline or a sweep's scenario default; worker
-    counts, 0 being all CPUs)."""
+    counts, 0 being all CPUs; candidate caps, 0 being the whole grid)."""
     return _int_at_least(text, 0)
 
 
@@ -720,56 +720,6 @@ def cmd_sa_report(args) -> int:
     return 0
 
 
-def cmd_perf_history(args) -> int:
-    from repro.perf.history import read_history, render_history
-
-    rows, skipped = read_history(args.path)
-    if not rows:
-        print(f"no history rows in {args.path}")
-        return 0
-    if args.section:
-        rows = [r for r in rows if r.get("section") == args.section]
-        if not rows:
-            print(f"no rows for section {args.section!r} in {args.path}")
-            return 0
-    print(render_history(rows, pattern=args.metric, last=args.last))
-    if skipped:
-        print(f"\n({skipped} unparseable line(s) skipped)")
-    return 0
-
-
-def cmd_perf_diff(args) -> int:
-    from repro.perf.history import diff_rows, read_history, render_diff
-
-    rows, skipped = read_history(args.path)
-    section = args.section or (rows[-1].get("section") if rows else None)
-    rows = [r for r in rows if r.get("section") == section]
-    if len(rows) < 2:
-        print(f"need two rows of section {section!r} in {args.path} to "
-              f"diff, have {len(rows)}")
-        return 0
-    try:
-        row_a, row_b = rows[args.a], rows[args.b]
-    except IndexError:
-        raise SystemExit(
-            f"row index out of range: {len(rows)} row(s) for "
-            f"section {section!r}"
-        ) from None
-    diff = diff_rows(row_a, row_b)
-    print(render_diff(diff))
-    if skipped:
-        print(f"\n({skipped} unparseable line(s) skipped)")
-    if args.out:
-        from repro.io import atomic_write_text
-
-        atomic_write_text(args.out, json.dumps(diff, indent=2,
-                                               sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
-    # Deliberately exit 0 either way: the gate is advisory (single-CPU
-    # CI noise must not block merges); consumers read diff["verdict"].
-    return 0
-
-
 def cmd_profile_report(args) -> int:
     from repro.obs.report import (
         PROFILE_HEADERS,
@@ -875,10 +825,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=non_negative_int, default=1,
                    help="parallel candidate evaluators (0 = all CPUs); "
                         "results are identical for any worker count")
-    p.add_argument("--max-candidates", type=int, default=0,
-                   help="truncate the grid to its first N candidates "
-                        "(smoke tests; fabrics alternate, so every "
-                        "--fabric entry stays represented)")
+    p.add_argument("--max-candidates", type=non_negative_int, default=0,
+                   help="truncate the grid to its first N candidates, "
+                        "0 = the whole grid (smoke tests; fabrics "
+                        "alternate, so every --fabric entry stays "
+                        "represented)")
     add_population_flags(p)
     add_fabric_flags(p, multiple=True)
     p.add_argument("--profile", action="store_true",
@@ -963,9 +914,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tops", type=int, default=72, choices=(72, 128, 512))
     c.add_argument("--full", action="store_true",
                    help="use the full Table-I grid (slow)")
-    c.add_argument("--max-candidates", type=int, default=0,
-                   help="truncate the grid to its first N candidates "
-                        "(smoke tests)")
+    c.add_argument("--max-candidates", type=non_negative_int, default=0,
+                   help="truncate the grid to its first N candidates, "
+                        "0 = the whole grid (smoke tests)")
     c.add_argument("--models", nargs="+", default=["TF"],
                    help="registry names or model files")
     c.add_argument("--batch", type=positive_int, default=64)
@@ -1118,40 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print perf counters and write BENCH_perf.json")
     add_obs_flags(p)
     p.set_defaults(func=cmd_sa_report, command="sa-report")
-
-    p = sub.add_parser(
-        "perf",
-        help="benchmark-history analytics over BENCH_history.jsonl",
-    )
-    psub = p.add_subparsers(dest="perf_command", required=True)
-
-    c = psub.add_parser("history", help="metric trend table (sparklines)")
-    c.add_argument("--path", default="BENCH_history.jsonl")
-    c.add_argument("--section", default=None,
-                   help="only rows of this bench section (default: all)")
-    c.add_argument("--metric", default="_mean",
-                   help="substring selecting which metrics to trend")
-    c.add_argument("--last", type=int, default=12,
-                   help="trend over the newest N rows")
-    c.set_defaults(func=cmd_perf_history, command="perf-history")
-
-    c = psub.add_parser(
-        "diff",
-        help="variance-aware comparison of two history rows (Welch "
-             "z-test where mean/var/n are recorded); always exits 0 — "
-             "the verdict is advisory",
-    )
-    c.add_argument("a", nargs="?", type=int, default=-2,
-                   help="old row index within the section (default -2)")
-    c.add_argument("b", nargs="?", type=int, default=-1,
-                   help="new row index within the section (default -1)")
-    c.add_argument("--path", default="BENCH_history.jsonl")
-    c.add_argument("--section", default=None,
-                   help="bench section to compare (default: the last "
-                        "row's section)")
-    c.add_argument("--out", default=None,
-                   help="also write the diff record as JSON here")
-    c.set_defaults(func=cmd_perf_diff, command="perf-diff")
 
     return parser
 

@@ -2,24 +2,12 @@
 
 from repro.perf.bench import DEFAULT_BENCH_PATH, emit_bench, read_bench
 from repro.perf.counters import PERF, LruDict, PerfRegistry
-from repro.perf.history import (
-    DEFAULT_HISTORY_PATH,
-    append_history,
-    diff_rows,
-    history_path_for,
-    read_history,
-)
 
 __all__ = [
     "DEFAULT_BENCH_PATH",
-    "DEFAULT_HISTORY_PATH",
     "LruDict",
     "PERF",
     "PerfRegistry",
-    "append_history",
-    "diff_rows",
     "emit_bench",
-    "history_path_for",
     "read_bench",
-    "read_history",
 ]

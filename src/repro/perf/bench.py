@@ -73,12 +73,6 @@ def emit_bench(section: str, payload: dict,
     atomic_write_text(
         path, json.dumps(data, indent=2, sort_keys=True) + "\n"
     )
-    # Every emit also appends one compact row to the sibling history
-    # file, so the overwritten snapshot gains a trajectory.  The append
-    # is best-effort telemetry and never raises.
-    from repro.perf.history import append_history, history_path_for
-
-    append_history(section, payload, history_path_for(path))
     return path
 
 

@@ -142,7 +142,9 @@ class TestCrashResume:
             report = runner.run(workers=1)
         assert report.failed == 1
         assert report.results[1] is None
-        assert campaign_view(home, "camp")["status"]["failed"] == 1
+        view = campaign_view(home, "camp")
+        assert view["status"]["failed"] == 1
+        assert [f["indices"] for f in view["failures"].values()] == [[1]]
 
         monkeypatch.setattr(DesignSpaceExplorer, "evaluate_candidate", real)
         with CampaignRunner(make_spec(), home) as runner:
@@ -150,6 +152,8 @@ class TestCrashResume:
         assert report.evaluated == 1  # only the failed one
         assert report.failed == 0
         assert all(r is not None for r in report.results)
+        # The failure table follows the store: the success clears it.
+        assert campaign_view(home, "camp")["failures"] == {}
 
 
 class TestWarmStart:

@@ -9,6 +9,7 @@ import shutil
 import pytest
 
 from repro.campaign import (
+    CampaignError,
     CampaignInterrupted,
     CampaignRunner,
     CampaignSpec,
@@ -191,17 +192,30 @@ def test_status_watch_and_report_agree(homes, case, capsys):
         assert {k: doc["status"][k] for k in counts} == counts
 
 
-def test_viewing_writes_nothing(homes, capsys):
-    home = homes / "poison"
-
-    def tree():
+def test_viewing_writes_nothing(homes, tmp_path, capsys):
+    def tree(home):
         return {p: p.read_bytes() if p.is_file() else None
                 for p in home.rglob("*")}
 
-    before = tree()
+    home = homes / "poison"
+    before = tree(home)
     campaign_view(home, "camp")
     for argv in (["status"], ["watch", "--once"], ["watch", "--once", "--json"],
                  ["report"], ["report", "--json"]):
         cli(capsys, "campaign", argv[0], "--name", "camp", "--out", str(home),
             *argv[1:])
-    assert tree() == before
+    assert tree(home) == before
+
+    # Without a result store the views and the export refuse, rather
+    # than create an empty store and report nothing done.
+    home = tmp_path / "poison"
+    shutil.copytree(homes / "poison", home)
+    shutil.rmtree(home / "store")
+    before = tree(home)
+    with pytest.raises(CampaignError, match="no result store at"):
+        campaign_view(home, "camp")
+    for argv in (["status"], ["watch", "--once"], ["report"], ["export"]):
+        with pytest.raises(SystemExit, match="no result store at"):
+            main(["campaign", argv[0], "--name", "camp", "--out", str(home),
+                  *argv[1:]])
+    assert tree(home) == before

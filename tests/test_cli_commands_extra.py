@@ -137,6 +137,23 @@ class TestCliIterationValidation:
         assert build_parser().parse_args(argv + ["--iters", "0"]).iters == 0
 
 
+class TestCliMaxCandidatesValidation:
+    """``--max-candidates`` takes a non-negative count at parse time:
+    ``dse --max-candidates -1`` used to drop the grid's last candidate
+    instead of keeping its first N."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dse"], ["campaign", "run", "--name", "x"],
+    ])
+    def test_negative_rejected_zero_parses(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--max-candidates", "-1"])
+        assert exc.value.code == 2
+        assert "--max-candidates" in capsys.readouterr().err
+        args = build_parser().parse_args(argv + ["--max-candidates", "0"])
+        assert args.max_candidates == 0
+
+
 class TestCliPopulationValidation:
     """--population / --tempering reject counts below one at parse time:
     ``--population 0`` used to run the serial walk under a different

@@ -136,21 +136,17 @@ class TestBenchEmission:
         with pytest.raises(RuntimeError):
             emit_bench("two", {"v": 2}, path)
         monkeypatch.undo()
-        # The original file is whole and parseable; no temp litter
-        # (the history sibling from the successful first emit is the
-        # only other expected file).
+        # The original file is whole and parseable; no temp litter.
         data = read_bench(path)
         assert data["one"] == {"v": 1}
         assert "two" not in data
-        history = tmp_path / "BENCH_history.jsonl"
-        assert sorted(tmp_path.iterdir()) == sorted([path, history])
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         path = tmp_path / "BENCH_perf.json"
         for i in range(3):
             emit_bench(f"s{i}", {"v": i}, path)
-        history = tmp_path / "BENCH_history.jsonl"
-        assert sorted(tmp_path.iterdir()) == sorted([path, history])
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_corrupt_file_is_preserved_not_clobbered(self, tmp_path, capsys):
         path = tmp_path / "BENCH_perf.json"
