@@ -19,6 +19,7 @@ against a freshly rotated segment before the campaign gives up.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from repro.errors import ReproError
@@ -72,10 +73,14 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise FaultPolicyError("max_attempts must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise FaultPolicyError("timeout_s must be positive (or None)")
-        if self.backoff_s < 0 or self.store_backoff_s < 0:
-            raise FaultPolicyError("backoff must be non-negative")
+        # NaN fails every comparison: a NaN deadline would never expire,
+        # and an infinite deadline or backoff overflows the waits.
+        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
+            raise FaultPolicyError(
+                "timeout_s must be finite and positive (or None)")
+        if not (0 <= self.backoff_s < math.inf
+                and 0 <= self.store_backoff_s < math.inf):
+            raise FaultPolicyError("backoff must be finite and non-negative")
         if self.store_attempts < 1:
             raise FaultPolicyError("store_attempts must be >= 1")
         if not 0 <= self.jitter <= 1:

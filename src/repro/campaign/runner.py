@@ -456,8 +456,8 @@ class CampaignRunner:
         enforced on futures, and injected worker crashes must not take
         the parent process down.  Evaluation runs through the
         supervised dispatcher, :func:`repro.dse.pool.run_tasks`.
-        ``workers=None`` uses every CPU; a count below 1 raises
-        ``ValueError``.
+        ``workers=None`` uses every CPU; a worker count or
+        ``fail_after`` below 1 raises ``ValueError``.
         """
         from repro.dse.pool import run_tasks
         from repro.obs.trace import trace
@@ -466,6 +466,9 @@ class CampaignRunner:
             workers = os.cpu_count() or 1
         elif workers < 1:
             raise ValueError(f"workers must be >= 1 or None, got {workers}")
+        if fail_after is not None and fail_after < 1:
+            raise ValueError(
+                f"fail_after must be >= 1 or None, got {fail_after}")
         policy = policy or RetryPolicy()
         self._policy = policy
         todo = self.pending(retry_quarantined=retry_quarantined)

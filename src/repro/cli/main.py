@@ -148,23 +148,37 @@ def _int_at_least(text: str, low: int) -> int:
 
 def positive_int(text: str) -> int:
     """argparse type for counts that must be >= 1 (batch sizes,
-    population sizes, tempering rungs)."""
+    population sizes, tempering rungs, the ``--fail-after`` count)."""
     return _int_at_least(text, 1)
 
 
-def positive_seconds(text: str) -> float:
-    """argparse type for periods that must be finite and > 0 (the
-    watch refresh interval: 0 would re-scan the store in a busy loop,
-    and ``time.sleep`` rejects negative and NaN values)."""
+def _finite_seconds(text: str, zero_ok: bool) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid float value: {text!r}") from None
-    if not 0 < value < math.inf:
+    # NaN fails both comparisons, so it is refused with infinity.
+    if not ((value >= 0 if zero_ok else value > 0) and value < math.inf):
         raise argparse.ArgumentTypeError(
-            f"must be finite and > 0, got {text}")
+            f"must be finite and {'>=' if zero_ok else '>'} 0, got {text}")
     return value
+
+
+def positive_seconds(text: str) -> float:
+    """argparse type for periods that must be finite and > 0 (the
+    watch refresh interval: 0 would re-scan the store in a busy loop,
+    and ``time.sleep`` rejects negative and NaN values; a candidate
+    deadline: a NaN one never expires, an infinite one overflows the
+    dispatcher's wait)."""
+    return _finite_seconds(text, zero_ok=False)
+
+
+def non_negative_seconds(text: str) -> float:
+    """argparse type for delays where 0 has a meaning (the retry
+    backoff, 0 re-dispatching at once); infinite and NaN delays are
+    refused, as ``time.sleep`` cannot take them."""
+    return _finite_seconds(text, zero_ok=True)
 
 
 def non_negative_int(text: str) -> int:
@@ -929,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel candidate evaluators (0 = all CPUs)")
     c.add_argument("--no-warm-start", action="store_true",
                    help="disable SA warm starts from stored mappings")
-    c.add_argument("--timeout", type=float, default=None,
+    c.add_argument("--timeout", type=positive_seconds, default=None,
                    help="per-candidate evaluation deadline in seconds; "
                         "a hung worker is killed and the attempt retried "
                         "(forces the supervised pool path)")
@@ -937,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation attempts per candidate before it is "
                         "finalized (crash/timeout exhaustion quarantines "
                         "it as poison; default 1)")
-    c.add_argument("--backoff", type=float, default=0.0,
+    c.add_argument("--backoff", type=non_negative_seconds, default=0.0,
                    help="base re-dispatch delay in seconds (exponential, "
                         "deterministically jittered; default 0)")
     c.add_argument("--retry-quarantined", action="store_true",
@@ -949,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(kind:target[:count[:seconds]]; kinds: crash, "
                         "hang, slow per candidate index; enospc, torn "
                         "per store put)")
-    c.add_argument("--fail-after", type=int, default=None,
+    c.add_argument("--fail-after", type=positive_int, default=None,
                    help="fault injection: interrupt after N fresh "
                         "evaluations (CI smoke / crash drills)")
     c.add_argument("--diag", action="store_true",

@@ -8,7 +8,8 @@ the ``DNNGraph`` / ``Layer`` objects inside the loop.
 
 Compilation is memoized per graph in a module-level weak map, so every
 evaluator bound to the same graph — including pool workers that
-inherit the parent's memory via ``fork`` — shares one set of tables.
+inherit the parent's memory via ``fork`` — shares one set of tables;
+a ``spawn`` worker fills its own memo on first use.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ def stacked_offsets(n_slots: int, n_links: int) -> np.ndarray:
     return np.arange(n_slots, dtype=np.int64) * np.int64(n_links)
 
 
-#: The int64 dimension tables of a :class:`CompiledGraph`, in the
-#: canonical order shared-memory arenas publish them.
-TABLE_KEYS = (
-    "out_h", "out_w", "out_k", "in_c", "kernel_r", "kernel_s",
-    "stride", "groups", "bytes_per_elem",
-)
-
-
 def as_index_table(arr: np.ndarray) -> np.ndarray:
     """An index table promoted to int64 (no-op when already int64).
 
@@ -98,8 +91,7 @@ class CompiledGraph:
     indexing and changes dtype-promotion rules).
     """
 
-    def __init__(self, graph: DNNGraph,
-                 tables: "dict[str, np.ndarray] | None" = None):
+    def __init__(self, graph: DNNGraph):
         self.name = graph.name
         names = tuple(graph.layer_names())
         self.names = names
@@ -109,36 +101,21 @@ class CompiledGraph:
         #: path (receptive-field arithmetic reads their attributes).
         self.layer_refs: tuple[Layer, ...] = layers
 
-        if tables is None:
-            def table(fn) -> np.ndarray:
-                # Explicit int64 regardless of platform default int
-                # width; np.array raises OverflowError for values past
-                # 2**63, so out-of-range specs fail loudly instead of
-                # wrapping.
-                return np.array([fn(l) for l in layers], dtype=np.int64)
+        def table(fn) -> np.ndarray:
+            # Explicit int64 regardless of platform default int width;
+            # np.array raises OverflowError for values past 2**63, so
+            # out-of-range specs fail loudly instead of wrapping.
+            return np.array([fn(l) for l in layers], dtype=np.int64)
 
-            self.out_h = table(lambda l: l.out_h)
-            self.out_w = table(lambda l: l.out_w)
-            self.out_k = table(lambda l: l.out_k)
-            self.in_c = table(lambda l: l.in_c)
-            self.kernel_r = table(lambda l: l.kernel_r)
-            self.kernel_s = table(lambda l: l.kernel_s)
-            self.stride = table(lambda l: l.stride)
-            self.groups = table(lambda l: l.groups)
-            self.bytes_per_elem = table(lambda l: l.bytes_per_elem)
-        else:
-            # Adopt externally published tables (shared-memory views):
-            # the arrays are used as-is — zero-copy — after a shape and
-            # dtype check against the graph they claim to describe.
-            for key in TABLE_KEYS:
-                arr = tables[key]
-                if arr.dtype != np.int64 or arr.shape != (len(names),):
-                    raise ValueError(
-                        f"shared table {key!r} has dtype {arr.dtype} "
-                        f"shape {arr.shape}; expected int64 "
-                        f"({len(names)},) for graph {graph.name!r}"
-                    )
-                setattr(self, key, arr)
+        self.out_h = table(lambda l: l.out_h)
+        self.out_w = table(lambda l: l.out_w)
+        self.out_k = table(lambda l: l.out_k)
+        self.in_c = table(lambda l: l.in_c)
+        self.kernel_r = table(lambda l: l.kernel_r)
+        self.kernel_s = table(lambda l: l.kernel_s)
+        self.stride = table(lambda l: l.stride)
+        self.groups = table(lambda l: l.groups)
+        self.bytes_per_elem = table(lambda l: l.bytes_per_elem)
 
         self.out_h_i = self.out_h.tolist()
         self.out_w_i = self.out_w.tolist()

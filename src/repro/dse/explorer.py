@@ -188,8 +188,8 @@ class DesignSpaceExplorer:
         """Compile every workload's graph tables (idempotent).
 
         Called in the parent before pool workers exist so fork-based
-        workers inherit the compiled tables instead of rebuilding them
-        per candidate.
+        workers inherit the compiled tables instead of building their
+        own (spawn-based workers build theirs on first use).
         """
         from repro.compiled import compile_graph
 

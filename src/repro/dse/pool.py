@@ -5,32 +5,30 @@ Every parallel entry point — ``DesignSpaceExplorer.explore``,
 :func:`run_tasks`, which runs it in-process or on a
 :class:`PersistentEvalPool` under one set of supervision rules.
 
-The pool amortizes set-up across its lifetime:
+The pool amortizes set-up across its lifetime: workers start once and
+are reused for every dispatch (the explorer caches its pool and the
+campaign runner shares it; a sweep builds one per ``run_sweep`` call).
 
-* workers are spawned once and reused for every dispatch (the explorer
-  caches its pool and the campaign runner shares it; a sweep builds one
-  per ``run_sweep`` call);
-* a pool bound to an explorer publishes the workloads' compiled graph
-  tables **once** into ``multiprocessing.shared_memory`` arenas
-  (:mod:`repro.compiled.shm`); workers attach them zero-copy, so the
-  tables exist once in physical memory regardless of start method or
-  worker count;
-* the explorer itself rides the cheapest channel the start method
-  offers — inherited memory under ``fork``, pickled once per worker
-  (at spawn, not per dispatch) under ``spawn``.
-
-The pool honors ``multiprocessing.set_start_method``: under ``spawn``
-(macOS/Windows default, or opted into anywhere) workers receive the
-explorer, the arena handles, and any armed chaos evaluation hook
-through the initializer — no fork dependence anywhere.
+Workers get their state one way under every start method (the pool
+honors ``multiprocessing.set_start_method``): the executor's
+initializer takes ``(explorer, hook)``.  Fork workers inherit those
+arguments with the parent's memory (CPython does not pickle process
+arguments under fork), and with them the graph tables
+``explorer.prepare()`` compiled before the first worker started; spawn
+workers (the macOS/Windows default) unpickle them once each and
+compile their own tables on first use.
 
 The pool is also *supervisable*: a SIGKILL'd or hung worker breaks a
 ``ProcessPoolExecutor`` permanently (every outstanding future raises
 ``BrokenProcessPool`` and the executor refuses new work), so
 :meth:`PersistentEvalPool.respawn` tears the broken executor down —
 force-killing any still-running workers, which is the only way to
-clear a hung task — and builds a fresh one bound to the same explorer
-and the same arenas.
+clear a hung task — and builds a fresh one bound to the same explorer.
+
+Nothing global holds a pool's explorer: an explorer dropped without
+``close()`` forms a collectable cycle with its pool's executor (through
+the initializer arguments), and CPython's executor shuts its workers
+down when the cycle is collected.
 
 The explorer must be treated as immutable once a pool exists — workers
 saw its state at fork/spawn time.
@@ -38,11 +36,9 @@ saw its state at fork/spawn time.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing as mp
 import os
 import time
-import weakref
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -56,40 +52,23 @@ from repro.dse import explorer as explorer_mod
 from repro.errors import ReproError
 from repro.perf import PERF
 
-#: Explorers registered for fork inheritance, keyed by token.  The
-#: parent keeps every live pool's explorer here so workers forked at
-#: any later submit still find their token (pools may interleave).
-#: Spawn pools ship the explorer through initargs instead.
-_FORK_STATE: dict[int, object] = {}
-_TOKENS = itertools.count()
-
 #: Worker-process state: the pool's explorer (``None`` for a pool
 #: built without one), adopted once by the initializer.
 _WORKER_EXPLORER = None
 
 
-def _init_worker(token, explorer, handles, hook) -> None:
+def _init_worker(explorer, hook) -> None:
     """Adopt the pool's state as this worker's task context.
 
-    One initializer for every start method: ``token`` finds the
-    explorer in the inherited :data:`_FORK_STATE` registry under fork,
-    while spawn ships the pickled ``explorer`` itself (either may be
-    ``None``: a pool without an explorer); ``handles`` are the
-    shared-memory arena handles of the workloads' compiled tables;
+    ``explorer`` (``None`` for a pool built without one) is the
+    parent's object under fork and an unpickled copy under spawn;
     ``hook`` is the chaos evaluation hook armed in the parent at
-    executor creation (a no-op ``None`` in production).
+    executor creation (``None`` in production).
     """
     global _WORKER_EXPLORER
-    if token is not None:
-        explorer = _FORK_STATE[token]
     _WORKER_EXPLORER = explorer
     if hook is not None:
         explorer_mod._EVAL_HOOK = hook
-    if explorer is not None:
-        from repro.compiled.shm import adopt_shared_tables
-
-        for workload, handle in zip(explorer.workloads, handles):
-            adopt_shared_tables(workload.graph, handle)
 
 
 def _run_in_worker(task):
@@ -107,36 +86,16 @@ def _run_in_worker(task):
     return fn(_WORKER_EXPLORER, index, *args), PERF.snapshot()
 
 
-def _release(executor: ProcessPoolExecutor, token: int | None,
-             arenas: list) -> None:
-    """Shut a pool's resources down (close() or garbage collection).
-
-    Registered as a ``weakref.finalize`` callback so an abandoned pool
-    (an explorer dropped without ``close()``) still stops its workers,
-    unpins its explorer from :data:`_FORK_STATE`, and releases its
-    arena references (unlinking the segments when it held the last).
-    """
-    executor.shutdown(wait=False, cancel_futures=True)
-    if token is not None:
-        _FORK_STATE.pop(token, None)
-    for arena in arenas:
-        arena.release()
-    arenas.clear()
-
-
-def _kill_workers(executor: ProcessPoolExecutor) -> int:
-    """SIGKILL an executor's worker processes (hung tasks cannot be
-    cancelled any other way).  Returns how many were still alive."""
-    killed = 0
+def _kill_workers(executor: ProcessPoolExecutor) -> None:
+    """SIGKILL an executor's live worker processes (hung tasks cannot
+    be cancelled any other way)."""
     processes = getattr(executor, "_processes", None) or {}
     for proc in list(processes.values()):
         if proc.is_alive():
             try:
                 proc.kill()
-                killed += 1
             except (OSError, ValueError):  # pragma: no cover - racing exit
                 pass
-    return killed
 
 
 def pool_start_method() -> str:
@@ -159,43 +118,23 @@ class PersistentEvalPool:
             raise ValueError("pool needs at least one worker")
         self.workers = workers
         self._explorer = explorer
-        self._token: int | None = None
-        self._arenas = []
         if explorer is not None:
-            # Compile the workloads' graph tables in the parent before
-            # any worker exists, then publish them as shared-memory
-            # arenas so every worker — fork or spawn — attaches the same
-            # physical tables.
+            # Compile the workloads' graph tables before any worker
+            # exists, so fork workers inherit them.
             explorer.prepare()
-            from repro.compiled import compile_graph
-            from repro.compiled.shm import publish_graph_tables
-
-            self._arenas = [
-                publish_graph_tables(compile_graph(wl.graph))
-                for wl in explorer.workloads
-            ]
         self.start_method = pool_start_method()
-        if self.start_method == "fork" and explorer is not None:
-            self._token = next(_TOKENS)
-            _FORK_STATE[self._token] = explorer
         self._pool = self._spawn_executor()
-        self._finalizer = weakref.finalize(
-            self, _release, self._pool, self._token, self._arenas
-        )
         PERF.add("dse.pool.created")
 
     def _spawn_executor(self) -> ProcessPoolExecutor:
-        handles = tuple(arena.handle for arena in self._arenas)
         # The chaos hook is captured here so a respawned executor's
         # workers re-arm it — under fork they would inherit it anyway,
         # under spawn it must ride the initargs.
-        hook = explorer_mod._EVAL_HOOK
-        explorer = None if self._token is not None else self._explorer
         return ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=mp.get_context(self.start_method),
             initializer=_init_worker,
-            initargs=(self._token, explorer, handles, hook),
+            initargs=(self._explorer, explorer_mod._EVAL_HOOK),
         )
 
     def respawn(self) -> None:
@@ -204,16 +143,11 @@ class PersistentEvalPool:
         Outstanding futures of the old executor are abandoned: a broken
         executor has already failed them with ``BrokenProcessPool``,
         and a hung worker only dies by force — the dispatcher decides
-        which of its tasks get re-dispatched.  The published arenas are
-        kept: new workers re-attach the same segments at next submit.
+        which of its tasks get re-dispatched.
         """
         _kill_workers(self._pool)
         self._pool.shutdown(wait=False, cancel_futures=True)
-        self._finalizer.detach()
         self._pool = self._spawn_executor()
-        self._finalizer = weakref.finalize(
-            self, _release, self._pool, self._token, self._arenas
-        )
         PERF.add("dse.pool.respawned")
 
     def submit(self, task) -> Future:
@@ -224,19 +158,6 @@ class PersistentEvalPool:
 
     def close(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
-        self._finalizer.detach()
-        if self._token is not None:
-            _FORK_STATE.pop(self._token, None)
-            self._token = None
-        for arena in self._arenas:
-            arena.release()
-        self._arenas = []
-
-    def __enter__(self) -> "PersistentEvalPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def run_tasks(tasks, workers: int, on_result, *, on_failure=None,

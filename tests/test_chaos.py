@@ -9,6 +9,7 @@ round-trip, and the hook seams the production modules expose.
 
 import errno
 import io
+import math
 import time
 
 import pytest
@@ -162,7 +163,11 @@ class TestRetryPolicy:
         {"max_attempts": 0},
         {"timeout_s": 0.0},
         {"timeout_s": -1.0},
+        {"timeout_s": math.inf},
+        {"timeout_s": math.nan},
         {"backoff_s": -0.1},
+        {"backoff_s": math.inf},
+        {"backoff_s": math.nan},
         {"store_backoff_s": -0.1},
         {"store_attempts": 0},
         {"jitter": 1.5},

@@ -154,6 +154,38 @@ class TestCliMaxCandidatesValidation:
         assert args.max_candidates == 0
 
 
+class TestCliCampaignFaultFlags:
+    """``campaign run``'s fault flags are checked at parse time:
+    ``--fail-after 0`` used to interrupt after one candidate,
+    ``--timeout inf`` and ``--backoff inf`` died in an
+    ``OverflowError``, and ``--timeout nan`` ran with no deadline."""
+
+    RUN = ["campaign", "run", "--name", "x"]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--fail-after", "0"),
+        ("--fail-after", "-2"),
+        ("--timeout", "inf"),
+        ("--timeout", "nan"),
+        ("--timeout", "0"),
+        ("--timeout", "-1"),
+        ("--backoff", "inf"),
+        ("--backoff", "nan"),
+        ("--backoff", "-0.5"),
+    ])
+    def test_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(self.RUN + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_valid_values_parse(self):
+        args = build_parser().parse_args(self.RUN + [
+            "--fail-after", "1", "--timeout", "20", "--backoff", "0",
+        ])
+        assert (args.fail_after, args.timeout, args.backoff) == (1, 20.0, 0.0)
+
+
 class TestCliPopulationValidation:
     """--population / --tempering reject counts below one at parse time:
     ``--population 0`` used to run the serial walk under a different

@@ -6,6 +6,8 @@ dispatcher and ``CampaignRunner.run`` refuse such counts up front
 (``None`` still means all CPUs), which covers ``explore`` and
 ``run_sweep`` too; the ``--workers`` flags of ``dse``, ``sweep`` and
 ``campaign run`` take non-negative counts (``0`` means all CPUs).
+``CampaignRunner.run`` likewise refuses a ``fail_after`` below one
+before it evaluates anything.
 
 Every call runs under a ``SIGALRM`` deadline, so a regression fails
 its test instead of hanging the suite.
@@ -73,6 +75,16 @@ def test_campaign_run_refuses_workers_below_one(tmp_path, workers):
     with CampaignRunner(make_spec(), tmp_path) as runner, deadline(), \
             pytest.raises(ValueError, match="workers"):
         runner.run(workers=workers)
+
+
+@pytest.mark.parametrize("fail_after", [0, -2])
+def test_campaign_run_refuses_fail_after_below_one(tmp_path, fail_after):
+    """``fail_after`` below 1 used to interrupt after the first fresh
+    evaluation instead of being refused before any."""
+    with CampaignRunner(make_spec(), tmp_path) as runner, deadline():
+        with pytest.raises(ValueError, match="fail_after"):
+            runner.run(workers=1, fail_after=fail_after)
+        assert len(runner.pending()) == len(small_candidates())
 
 
 COMMANDS = (["dse"], ["sweep"], ["campaign", "run", "--name", "x"])

@@ -6,6 +6,8 @@ delays, and the same winning architecture — parallelism only changes
 wall-clock time.
 """
 
+from multiprocessing.connection import wait
+
 import pytest
 
 from repro.core.sa import SASettings
@@ -47,6 +49,20 @@ def make_explorer(seed_stride=0, iterations=8):
         sa_settings=SASettings(iterations=iterations, seed=11),
         seed_stride=seed_stride,
     )
+
+
+def assert_workers_exit(procs, timeout=10):
+    """Join each worker process, then check that every one has exited.
+
+    The executor's own shutdown thread joins the same processes, and
+    whichever thread reaps a worker first leaves the other's
+    ``is_alive()`` reading a stale ``True``; a worker's sentinel is
+    readable once it is gone, whoever reaped it.
+    """
+    for proc in procs:
+        proc.join(timeout=timeout)
+    assert len(wait([proc.sentinel for proc in procs], timeout=0)) == \
+        len(procs)
 
 
 def assert_reports_identical(a, b):
@@ -131,6 +147,20 @@ class TestPersistentPool:
             assert len(report.results) == 2
             explorer.close()
             explorer.close()
+
+    def test_abandoned_explorer_stops_its_workers(self):
+        """An explorer dropped without ``close()`` is collected with its
+        pool, and the executor stops its forked workers."""
+        import gc
+
+        explorer = make_explorer(iterations=2)
+        explorer.explore(small_candidates()[:2], workers=2)
+        assert explorer._pool.start_method == "fork"
+        procs = list(explorer._pool._pool._processes.values())
+        assert len(procs) == 2
+        del explorer
+        gc.collect()
+        assert_workers_exit(procs)
 
     def test_explorer_picklable_with_live_pool(self):
         """Worker shipping must not try to pickle the pool itself."""

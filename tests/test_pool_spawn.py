@@ -1,26 +1,18 @@
 """PersistentEvalPool under the spawn start method (no fork anywhere).
 
-ISSUE 10's acceptance criterion: the pool's table handoff must not
-depend on fork inheritance.  Compiled graph tables travel through
-``multiprocessing.shared_memory`` arenas (published once, attached
-zero-copy by every worker), the explorer and any armed chaos hook ride
-the spawn initializer, and the reuse / fault-recovery behavior pinned
-for fork pools holds identically.
+The pool's hand-off must not depend on fork inheritance: the explorer
+and any armed chaos hook ride the initializer arguments, pickled once
+per worker, each worker compiles its own graph tables on first use,
+and the reuse, fault-recovery and shutdown behaviour pinned for fork
+pools holds identically.
 """
 
+import gc
 import multiprocessing as mp
 
-import numpy as np
 import pytest
 
 from repro.campaign import CampaignRunner, RetryPolicy
-from repro.compiled import compile_graph
-from repro.compiled.graph import TABLE_KEYS, CompiledGraph
-from repro.compiled.shm import (
-    ShmArena,
-    adopt_shared_tables,
-    publish_graph_tables,
-)
 from repro.core.sa import SASettings
 from repro.dse import DesignSpaceExplorer, Workload
 from repro.perf import PERF
@@ -33,6 +25,7 @@ from test_campaign_faults import (
     small_candidates,
     tiny_graph,
 )
+from test_dse_parallel import assert_workers_exit
 
 
 @pytest.fixture
@@ -44,62 +37,6 @@ def spawn_method():
         yield
     finally:
         mp.set_start_method(old or "fork", force=True)
-
-
-class TestShmArena:
-    def test_publish_attach_roundtrip_zero_copy(self):
-        compiled = compile_graph(tiny_graph())
-        arena = publish_graph_tables(compiled)
-        try:
-            peer = ShmArena.attach(arena.handle)
-            views = peer.views()
-            for key in TABLE_KEYS:
-                np.testing.assert_array_equal(
-                    views[key], getattr(compiled, key)
-                )
-                assert not views[key].flags.writeable
-            peer.close()
-        finally:
-            arena.release()
-
-    def test_refcount_unlinks_only_on_last_release(self):
-        compiled = compile_graph(tiny_graph(4))
-        arena = publish_graph_tables(compiled)
-        again = publish_graph_tables(compiled)
-        assert again is arena and arena.refs == 2
-        arena.release()
-        # Still published: a fresh attach succeeds.
-        ShmArena.attach(arena.handle).close()
-        arena.release()
-        assert arena.released
-        with pytest.raises(FileNotFoundError):
-            ShmArena.attach(arena.handle)
-
-    def test_adopted_graph_reuses_views_and_seeds_memo(self):
-        graph = tiny_graph()
-        arena = publish_graph_tables(compile_graph(graph))
-        try:
-            clone = tiny_graph()
-            compiled = adopt_shared_tables(clone, arena.handle)
-            assert compile_graph(clone) is compiled
-            for key in TABLE_KEYS:
-                np.testing.assert_array_equal(
-                    getattr(compiled, key),
-                    getattr(compile_graph(graph), key),
-                )
-        finally:
-            arena.release()
-
-    def test_mismatched_tables_rejected(self):
-        arena = publish_graph_tables(compile_graph(tiny_graph(3)))
-        try:
-            with pytest.raises(ValueError, match="shared table"):
-                CompiledGraph(
-                    tiny_graph(5),
-                    tables=ShmArena.attach(arena.handle).views(),
-                )
-        finally:
-            arena.release()
 
 
 class TestSpawnPool:
@@ -116,14 +53,26 @@ class TestSpawnPool:
             par2 = ex.explore(candidates, workers=2)
             assert ex._pool.start_method == "spawn"
             assert PERF.get("dse.pool.created") == 1
-            arenas = ex._pool._arenas
-            assert len(arenas) == 1 and not arenas[0].released
-        # Worker results match the in-process evaluation exactly, and
-        # closing the pool released the published segment.
+        # Worker results match the in-process evaluation exactly.
         for rep in (par1, par2):
             assert [r.score for r in rep.results] == \
                 [r.score for r in serial.results]
-        assert arenas == [] or all(a.released for a in arenas)
+
+    def test_abandoned_explorer_stops_its_workers(self, spawn_method):
+        """An explorer dropped without ``close()`` is collected with its
+        pool, and the executor stops its spawned workers."""
+        explorer = DesignSpaceExplorer(
+            [Workload(tiny_graph(), batch=2)],
+            sa_settings=SASettings(iterations=2, seed=11),
+            record_mappings=False,
+        )
+        explorer.explore(small_candidates()[:2], workers=2)
+        assert explorer._pool.start_method == "spawn"
+        procs = list(explorer._pool._pool._processes.values())
+        assert len(procs) == 2
+        del explorer
+        gc.collect()
+        assert_workers_exit(procs)
 
     def test_crash_recovery_under_spawn(self, spawn_method, tmp_path):
         PERF.reset()
