@@ -1,16 +1,14 @@
-"""Validation — the three delay-model fidelities agree on ordering.
+"""Validation — the two delay analyzers agree on ordering.
 
 The Evaluator's analytic stage-time bound drives the SA search
-(Sec V-B2); this bench validates it against the two higher-fidelity
-models shipped here — max–min-fair flow rates and the store-and-forward
-discrete-event simulator — across Tangram and Gemini schemes of several
+(Sec V-B2); this bench validates it against the store-and-forward
+discrete-event simulator across Tangram and Gemini schemes of several
 Transformer layer groups on G-Arch.
 
-Expectations: ``bound <= maxmin <= event-sim`` for each scheme (fluid
-lower bound, fair-shared fluid, then per-hop serialization + queueing),
-and the *ranking* of schemes (Gemini better than Tangram) is preserved
-by every model — i.e., the cheap bound the search uses does not mislead
-it.
+Expectations: ``bound <= event-sim`` for each scheme (the fluid
+most-loaded-link bound against per-hop serialization + queueing), and
+the *ranking* of schemes (Gemini better than Tangram) is preserved by
+both — i.e., the cheap bound the search uses does not mislead it.
 """
 
 from conftest import print_banner, sa_settings
@@ -28,11 +26,8 @@ SA_ITERS = 250
 
 def network_times(graph, arch, lms):
     bound_ev = Evaluator(arch).evaluate_group(graph, lms, batch=8)
-    maxmin_ev = Evaluator(arch, network_model="maxmin").evaluate_group(
-        graph, lms, batch=8
-    )
     stats, _ = simulate_group_round(graph, arch, lms)
-    return bound_ev.network_time, maxmin_ev.network_time, stats.makespan
+    return bound_ev.network_time, stats.makespan
 
 
 def run_validation(tf_model):
@@ -48,8 +43,8 @@ def run_validation(tf_model):
             settings=sa_settings(SA_ITERS, seed=i),
         ).run()[0]
         for label, lms in (("tangram", tangram), ("gemini", gemini)):
-            b, m, s = network_times(tf_model, arch, lms)
-            rows.append([f"group{i}", label, b * 1e6, m * 1e6, s * 1e6])
+            b, s = network_times(tf_model, arch, lms)
+            rows.append([f"group{i}", label, b * 1e6, s * 1e6])
     return rows
 
 
@@ -58,22 +53,20 @@ def test_delay_model_validation(tf_model, benchmark):
         run_validation, args=(tf_model,), rounds=1, iterations=1
     )
     print_banner(
-        "Delay-model validation: analytic bound vs max-min vs event sim "
+        "Delay-model validation: analytic bound vs event sim "
         "(network/stage times, us)"
     )
     print(format_table(
-        ["group", "scheme", "bound", "max-min", "event sim"],
-        rows, floatfmt=".2f",
+        ["group", "scheme", "bound", "event sim"], rows, floatfmt=".2f",
     ))
-    by = {(r[0], r[1]): (r[2], r[3], r[4]) for r in rows}
-    for key, (bound, maxmin, sim) in by.items():
+    by = {(r[0], r[1]): (r[2], r[3]) for r in rows}
+    for key, (bound, sim) in by.items():
         # Fidelity ordering within each scheme.
-        assert bound <= maxmin * (1 + 1e-9), key
-        assert maxmin <= sim * (1 + 1e-6), key
-    # Scheme ranking is preserved by every model: the SA-optimized
-    # scheme never looks worse under a finer model than the stripe one.
+        assert bound <= sim * (1 + 1e-6), key
+    # Scheme ranking is preserved by both analyzers: the SA-optimized
+    # scheme never looks worse under the simulator than the stripe one.
     groups = {r[0] for r in rows}
     for g in groups:
-        for idx in range(3):
+        for idx in range(2):
             assert by[(g, "gemini")][idx] <= by[(g, "tangram")][idx] * 1.05, \
                 (g, idx)

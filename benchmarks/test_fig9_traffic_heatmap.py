@@ -16,18 +16,10 @@ from repro.arch import g_arch
 from repro.core import SAController
 from repro.core.graphpart import partition_graph
 from repro.core.initial import initial_lms
-from repro.core.parser import parse_lms
-from repro.evalmodel import Evaluator, GroupTrafficAnalyzer
+from repro.evalmodel import Evaluator
 from repro.reporting import format_table, heat_summary, render_ascii
 
 SA_ITERS = 400
-
-
-def group_traffic(graph, arch, evaluator, lms):
-    parsed = parse_lms(graph, lms)
-    intra = evaluator._intra_results(parsed)
-    analyzer = GroupTrafficAnalyzer(graph, arch, evaluator.topo)
-    return analyzer.analyze(parsed, lms, intra, {})
 
 
 def run_fig9(tf_model):
@@ -48,8 +40,8 @@ def run_fig9(tf_model):
         settings=sa_settings(SA_ITERS, seed=3),
     )
     gemini_lms = controller.run()[0]
-    t_traffic = group_traffic(tf_model, arch, evaluator, tangram_lms)
-    g_traffic = group_traffic(tf_model, arch, evaluator, gemini_lms)
+    t_traffic = evaluator.analyze_group(tf_model, tangram_lms)[2]
+    g_traffic = evaluator.analyze_group(tf_model, gemini_lms)[2]
     return t_traffic, g_traffic
 
 

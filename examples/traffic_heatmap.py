@@ -13,18 +13,8 @@ from repro import Evaluator, SASettings, g_arch
 from repro.core import SAController
 from repro.core.graphpart import partition_graph
 from repro.core.initial import initial_lms
-from repro.core.parser import parse_lms
-from repro.evalmodel import GroupTrafficAnalyzer
 from repro.reporting import format_table, heat_summary, render_ascii
 from repro.workloads.models import build
-
-
-def traffic_of(graph, arch, evaluator, lms):
-    parsed = parse_lms(graph, lms)
-    intra = evaluator._intra_results(parsed)
-    return GroupTrafficAnalyzer(graph, arch, evaluator.topo).analyze(
-        parsed, lms, intra, {}
-    )
 
 
 def main():
@@ -48,9 +38,9 @@ def main():
     )
     gemini = sa.run()[0]
 
-    t = traffic_of(graph, arch, evaluator, tangram)
-    g = traffic_of(graph, arch, evaluator, gemini)
-    ts, gs = heat_summary(t.traffic), heat_summary(g.traffic)
+    t = evaluator.analyze_group(graph, tangram)[2].traffic
+    g = evaluator.analyze_group(graph, gemini)[2].traffic
+    ts, gs = heat_summary(t), heat_summary(g)
     rows = [
         [k, ts[k], gs[k], gs[k] / ts[k] - 1 if ts[k] else 0.0] for k in ts
     ]
@@ -58,9 +48,9 @@ def main():
         ["metric (bytes/round)", "Tangram", "Gemini", "change"], rows,
     ))
     print("\nTangram SPM ([x] marks D2D links):")
-    print(render_ascii(t.traffic))
+    print(render_ascii(t))
     print("\nGemini SPM:")
-    print(render_ascii(g.traffic))
+    print(render_ascii(g))
 
 
 if __name__ == "__main__":

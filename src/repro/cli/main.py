@@ -759,8 +759,7 @@ def cmd_heatmap(args) -> int:
     from repro.core import SAController
     from repro.core.graphpart import partition_graph
     from repro.core.initial import initial_lms
-    from repro.core.parser import parse_lms
-    from repro.evalmodel import Evaluator, GroupTrafficAnalyzer
+    from repro.evalmodel import Evaluator
     from repro.reporting import heat_summary, render_ascii
 
     arch = fabric_overridden(resolve_arch(args.arch), args)
@@ -775,13 +774,9 @@ def cmd_heatmap(args) -> int:
     ).run()[0]
     lines = []
     for label, lms in (("Tangram", tangram), ("Gemini", gemini)):
-        parsed = parse_lms(graph, lms)
-        intra = evaluator._intra_results(parsed)
-        traffic = GroupTrafficAnalyzer(graph, arch, evaluator.topo).analyze(
-            parsed, lms, intra, {}
-        )
-        lines.append(f"\n{label} SPM ({json.dumps(heat_summary(traffic.traffic))}):")
-        lines.append(render_ascii(traffic.traffic))
+        traffic = evaluator.analyze_group(graph, lms)[2].traffic
+        lines.append(f"\n{label} SPM ({json.dumps(heat_summary(traffic))}):")
+        lines.append(render_ascii(traffic))
     print("\n".join(lines))
     if args.out:
         from repro.io import atomic_write_text

@@ -529,7 +529,6 @@ class _BatchCore:
                 compute_time=compute,
                 network_time=network,
                 dram_time=dram,
-                traffic=None,
                 dram_round_bytes=tuple(rb_row),
                 fits=fits,
             ))

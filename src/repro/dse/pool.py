@@ -56,6 +56,21 @@ from repro.perf import PERF
 #: built without one), adopted once by the initializer.
 _WORKER_EXPLORER = None
 
+#: Longest single sleep or ``wait`` of the dispatcher; a longer
+#: deadline or backoff just takes several.  Waits past
+#: ``threading.TIMEOUT_MAX`` raise ``OverflowError``, and ``time.sleep``
+#: (which adds the monotonic clock) already fails at that value.
+_MAX_WAIT_S = 86400.0
+
+
+def _sleep(seconds: float) -> None:
+    """``time.sleep`` for any finite span, in pieces of at most
+    ``_MAX_WAIT_S``."""
+    while seconds > 0:
+        step = min(seconds, _MAX_WAIT_S)
+        time.sleep(step)
+        seconds -= step
+
 
 def _init_worker(explorer, hook) -> None:
     """Adopt the pool's state as this worker's task context.
@@ -289,8 +304,7 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
         if delay > 0 and pool is not None:
             delayed.append((time.monotonic() + delay, task, probe))
             return
-        if delay > 0:
-            time.sleep(delay)
+        _sleep(delay)
         if probe:
             probes.append(task)
         else:
@@ -332,15 +346,15 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
 
             if not inflight:
                 if delayed:
-                    time.sleep(max(0.0, min(r for r, _, _ in delayed)
-                                   - time.monotonic()))
+                    _sleep(min(r for r, _, _ in delayed) - time.monotonic())
                 continue
 
             # Wait bounded by the nearest deadline or backoff expiry.
             bounds = [d for _, _, d, _ in inflight.values()
                       if d is not None]
             bounds += [r for r, _, _ in delayed]
-            timeout = (max(0.05, min(bounds) - time.monotonic())
+            timeout = (min(_MAX_WAIT_S,
+                           max(0.05, min(bounds) - time.monotonic()))
                        if bounds else None)
             done, _ = wait(inflight, timeout=timeout,
                            return_when=FIRST_COMPLETED)

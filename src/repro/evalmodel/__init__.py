@@ -5,7 +5,6 @@ from repro.evalmodel.delay import (
     StageTimes,
     group_delay,
     pipeline_utilization,
-    stage_times,
 )
 from repro.evalmodel.evaluator import Evaluator
 from repro.evalmodel.metrics import (
@@ -32,5 +31,4 @@ __all__ = [
     "pipeline_fill_drain_loss",
     "pipeline_utilization",
     "stage_bound_histogram",
-    "stage_times",
 ]

@@ -2,15 +2,14 @@
 
 The paper reports energy in four buckets — network (router hops), D2D,
 intra-tile (MAC + GLB + registers) and DRAM — and delay per DNN.  These
-records carry those buckets plus the per-link traffic needed for the
-Fig 9 heatmaps.
+records carry those buckets and the stage-time terms; the per-link
+traffic behind the Fig 9 heatmaps comes from
+:meth:`~repro.evalmodel.evaluator.Evaluator.analyze_group`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.noc.traffic import TrafficMap
 
 
 @dataclass
@@ -75,7 +74,6 @@ class GroupEval:
     compute_time: float
     network_time: float
     dram_time: float
-    traffic: TrafficMap | None = None
     #: Immutable so cached evaluations can be returned without copying.
     dram_round_bytes: tuple[float, ...] = ()
     fits: bool = True

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.arch.params import ArchConfig
 from repro.evalmodel.traffic_analysis import GroupTraffic
-from repro.intracore.result import IntraCoreResult
 
 
 @dataclass(frozen=True)
@@ -43,28 +42,14 @@ def per_dram_bandwidth(arch: ArchConfig) -> float:
     return arch.dram_bw / arch.n_dram
 
 
-def stage_times(
-    arch: ArchConfig,
-    intra: dict[str, list[IntraCoreResult]],
-    group_traffic: GroupTraffic,
-) -> StageTimes:
-    compute = 0.0
-    for results in intra.values():
-        for res in results:
-            compute = max(compute, res.compute_time)
-    return stage_times_from_compute(arch, compute, group_traffic)
-
-
 def stage_times_from_compute(
     arch: ArchConfig,
     compute: float,
     group_traffic: GroupTraffic,
 ) -> StageTimes:
-    """Stage times given a precomputed slowest-core compute time.
-
-    The evaluator caches the max compute time per layer, so the SA loop
-    can skip re-scanning every intra-core result on each evaluation.
-    """
+    """Stage times of one round given its slowest core's compute time
+    (the evaluator folds it per layer, the event simulator reads it off
+    its compute finish)."""
     network = group_traffic.traffic.serialization_time()
     bw = per_dram_bandwidth(arch)
     round_bytes = group_traffic.dram_round_bytes

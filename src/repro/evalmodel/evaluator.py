@@ -14,9 +14,10 @@ Group evaluations take one of two paths:
   fold + finalize, so the hot path never walks Python object graphs;
 * the **object path** — parse, intra-core schedule, traffic analysis,
   stage times — uncached.  It is the reference oracle
-  (``cache=False``) and serves whatever the compiled core does not
-  compute: flow collection (``keep_traffic``) and the max–min network
-  model.
+  (``cache=False``).  :meth:`Evaluator.analyze_group` is its one entry:
+  the oracle's group evaluation, the event simulator, instruction
+  generation and the Fig 9 heatmaps all take their parsed scheme,
+  intra-core schedules and traffic from it.
 
 The compiled core memoizes immutable values of the same computation the
 object path runs, so both paths are bit-identical; the SA loop gets its
@@ -32,11 +33,11 @@ from repro.arch.energy import DEFAULT_ENERGY, EnergyModel
 from repro.arch.params import ArchConfig
 from repro.core.encoding import LayerGroupMapping
 from repro.fabric import Topology, build_topology
-from repro.core.parser import parse_lms
+from repro.core.parser import ParsedGroup, parse_lms
 from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval, MappingEval
 from repro.evalmodel.delay import group_delay, stage_times_from_compute
 from repro.evalmodel.energy import group_energy_from_intra
-from repro.evalmodel.traffic_analysis import GroupTrafficAnalyzer
+from repro.evalmodel.traffic_analysis import GroupTraffic, GroupTrafficAnalyzer
 from repro.intracore.cache import IntraCoreEngine, core_key
 from repro.intracore.result import IntraCoreResult
 from repro.perf import PERF, LruDict
@@ -46,11 +47,9 @@ from repro.workloads.graph import DNNGraph
 class Evaluator:
     """Delay / energy evaluator bound to one architecture instance.
 
-    ``network_model`` selects the network stage-time estimate:
-    ``"bound"`` (default, the paper's analytic most-loaded-link bound)
-    or ``"maxmin"`` (max–min-fair flow simulation of the round's
-    transfers — slower, upper-bounds the analytic estimate, useful for
-    validating schemes the search has already picked).
+    Network stage time is the paper's analytic most-loaded-link bound;
+    :func:`repro.sim.simulate_group_round` checks it against an
+    event-driven simulation of the same round.
 
     ``cache=False`` pins the uncached object path (the behaviour of the
     original single-shot pipeline, kept as the reference oracle);
@@ -70,13 +69,10 @@ class Evaluator:
         arch: ArchConfig,
         topo: Topology | None = None,
         energy: EnergyModel = DEFAULT_ENERGY,
-        network_model: str = "bound",
         cache: bool = True,
         intracore: IntraCoreEngine | None = None,
         parts: LruDict | None = None,
     ):
-        if network_model not in ("bound", "maxmin"):
-            raise ValueError(f"unknown network model {network_model!r}")
         if intracore is not None and \
                 intracore.core_key != core_key(arch, energy):
             raise ValueError(
@@ -86,11 +82,7 @@ class Evaluator:
         self.arch = arch
         self.topo = topo if topo is not None else build_topology(arch)
         self.energy = energy
-        self.network_model = network_model
         self.cache_enabled = cache
-        # The compiled core computes only the analytic bound; flow
-        # collection stays on the object path.
-        self.compiled_enabled = cache and network_model == "bound"
         if intracore is None or not cache:
             intracore = IntraCoreEngine(arch, energy)
         self.intracore = intracore
@@ -128,7 +120,7 @@ class Evaluator:
     def compiled_for(self, graph: DNNGraph):
         """The graph's :class:`~repro.compiled.CompiledEval`, or ``None``
         when the array-native path does not apply to this evaluator."""
-        if not self.compiled_enabled:
+        if not self.cache_enabled:
             return None
         ce = self._compiled.get(graph)
         if ce is None:
@@ -146,25 +138,45 @@ class Evaluator:
             arch.chiplet_cores_x + arch.chiplet_cores_y
         )
 
-    def _intra_results(self, parsed) -> dict[str, list[IntraCoreResult]]:
-        return self._intra_aggregate(parsed)[0]
+    def analyze_group(
+        self,
+        graph: DNNGraph,
+        lms: LayerGroupMapping,
+        stored_at: dict[str, int] | None = None,
+        flows: bool = False,
+    ) -> tuple[ParsedGroup, dict[str, list[IntraCoreResult]], GroupTraffic]:
+        """Parse, schedule and analyze one layer group (object path).
 
-    def _intra_aggregate(
-        self, parsed
-    ) -> tuple[dict[str, list[IntraCoreResult]], float, float, bool]:
-        """Per-layer intra-core results plus the group-level aggregates.
-
-        Returns ``(results, compute_max, intra_joules, fits)``.
+        Returns ``(parsed, intra, traffic)``: the parsed scheme, each
+        layer's per-part intra-core results (in parsed part order) and
+        the group's per-round traffic.  ``flows=True`` also lists every
+        transfer in ``traffic.flows`` as a
+        :class:`~repro.evalmodel.traffic_analysis.FlowRecord`; link
+        volumes and DRAM tallies are the same bits either way.
+        ``stored_at`` maps producers in earlier groups to the FD
+        selector their ofmaps were written with.
         """
-        results: dict[str, list[IntraCoreResult]] = {}
+        parsed = parse_lms(graph, lms)
+        intra = {
+            name: [self.intracore.schedule(part.workload)
+                   for part in parsed_layer.parts]
+            for name, parsed_layer in parsed.layers.items()
+        }
+        traffic = GroupTrafficAnalyzer(
+            graph, self.arch, self.topo, collect_flows=flows
+        ).analyze(parsed, lms, intra, stored_at or {})
+        return parsed, intra, traffic
+
+    @staticmethod
+    def _intra_aggregate(
+        intra: dict[str, list[IntraCoreResult]],
+    ) -> tuple[float, float, bool]:
+        """``(compute_max, intra_joules, fits)`` of a group's intra-core
+        results, folded per layer first, in layer and part order."""
         compute = 0.0
         intra_j = 0.0
         fits = True
-        for name, parsed_layer in parsed.layers.items():
-            per_layer = [
-                self.intracore.schedule(part.workload)
-                for part in parsed_layer.parts
-            ]
+        for per_layer in intra.values():
             layer_compute = 0.0
             layer_j = 0.0
             layer_fits = True
@@ -173,12 +185,11 @@ class Evaluator:
                     layer_compute = res.compute_time
                 layer_j += res.energy
                 layer_fits = layer_fits and res.fits
-            results[name] = per_layer
             if layer_compute > compute:
                 compute = layer_compute
             intra_j += layer_j
             fits = fits and layer_fits
-        return results, compute, intra_j, fits
+        return compute, intra_j, fits
 
     # ------------------------------------------------------------------
 
@@ -188,25 +199,17 @@ class Evaluator:
         lms: LayerGroupMapping,
         batch: int,
         stored_at: dict[str, int] | None = None,
-        keep_traffic: bool = False,
     ) -> GroupEval:
         """Evaluate one layer group for a full inference of ``batch``."""
         stored_at = stored_at or {}
-        compiled = None if keep_traffic else self.compiled_for(graph)
+        compiled = self.compiled_for(graph)
         if compiled is not None:
             return compiled.evaluate_group(lms, batch, stored_at)
-        parsed = parse_lms(graph, lms)
-        intra, compute_max, intra_j, fits = self._intra_aggregate(parsed)
-        analyzer = GroupTrafficAnalyzer(
-            graph, self.arch, self.topo,
-            collect_flows=self.network_model == "maxmin",
-        )
-        traffic = analyzer.analyze(parsed, lms, intra, stored_at)
+        _, intra, traffic = self.analyze_group(graph, lms, stored_at)
+        compute_max, intra_j, fits = self._intra_aggregate(intra)
         rounds = math.ceil(batch / lms.group.batch_unit)
         depth = len(lms.group)
         times = stage_times_from_compute(self.arch, compute_max, traffic)
-        if self.network_model == "maxmin":
-            times = self._refine_network_time(traffic, times)
         delay = group_delay(times, rounds, depth)
         energy = group_energy_from_intra(
             self.arch, self.energy, intra_j, traffic, rounds,
@@ -220,34 +223,8 @@ class Evaluator:
             compute_time=times.compute,
             network_time=times.network,
             dram_time=times.dram,
-            traffic=traffic.traffic if keep_traffic else None,
             dram_round_bytes=tuple(traffic.dram_round_bytes),
             fits=fits,
-        )
-
-    def _refine_network_time(self, traffic, times):
-        """Replace the analytic network bound by a max–min simulation.
-
-        Weight multicasts are simulated as per-destination unicasts
-        (slightly conservative); the simulated time can never be below
-        the analytic bound.
-        """
-        from repro.evalmodel.delay import StageTimes
-        from repro.evalmodel.traffic_analysis import round_flows
-        from repro.noc.flowsim import Flow, simulate_completion_time
-
-        flows = [
-            Flow(self.topo.route(f.src, f.dst), f.volume)
-            for f in round_flows(traffic.flows, self.topo)
-        ]
-        if not flows:
-            return times
-        simulated = simulate_completion_time(self.topo, flows)
-        return StageTimes(
-            compute=times.compute,
-            network=max(times.network, simulated),
-            dram=times.dram,
-            prologue=times.prologue,
         )
 
     def evaluate_mapping(
@@ -255,7 +232,6 @@ class Evaluator:
         graph: DNNGraph,
         lmss: list[LayerGroupMapping],
         batch: int,
-        keep_traffic: bool = False,
     ) -> MappingEval:
         """Evaluate a whole DNN mapping: chained layer groups.
 
@@ -267,9 +243,7 @@ class Evaluator:
         total_energy = EnergyBreakdown()
         evals = []
         for lms in lmss:
-            ev = self.evaluate_group(
-                graph, lms, batch, stored_at, keep_traffic=keep_traffic
-            )
+            ev = self.evaluate_group(graph, lms, batch, stored_at)
             evals.append(ev)
             total_delay += ev.delay
             total_energy = total_energy + ev.energy

@@ -168,11 +168,11 @@ def dram_scatter_batch(
 ) -> None:
     """Scatter-add core<->DRAM flows for many parts at once.
 
-    Additions into each per-link / per-DRAM slot happen in part order
-    (np.add.at is unbuffered and in index order), matching the per-part
-    loop of the flow-collecting path.  Shared by the object-graph
-    analyzer and the compiled evaluation core so the two paths cannot
-    drift numerically.
+    Each target DRAM's flows are summed by one bincount (increments in
+    part order) and then added to every link slot, and its tally is a
+    sequential left fold in part order.  The analyzer sums its DRAM
+    flows only here, with or without flow collection; the compiled
+    core's scatter queues reproduce this order.
     """
     n_dram = len(topo.dram_nodes())
     to_dram, to_lens, from_dram, from_lens = topo.dram_route_tables()
@@ -187,10 +187,9 @@ def dram_scatter_batch(
             weights=np.repeat(v, lens[rows]),
             minlength=len(vol_slots),
         )
-        # Sequential left-fold into the DRAM tally, exactly like the
-        # per-part ``dram_read[d] += v`` loop of the flow-collecting
-        # path (np.sum's pairwise reduction would associate
-        # differently); a Python loop beats np.add.at at these sizes.
+        # Sequential left-fold into the DRAM tally, part by part
+        # (np.sum's pairwise reduction would associate differently); a
+        # Python loop beats np.add.at at these sizes.
         t = tally[d]
         for x in v.tolist():
             t += x
@@ -206,9 +205,10 @@ def core_scatter_batch(
 ) -> None:
     """Accumulate many core->core flows' routes in one scatter-add.
 
-    np.add.at / bincount apply increments in index order, so per-link
-    sums associate exactly like sequential ``add_flow`` calls.  Shared
-    by both evaluation paths (see :func:`dram_scatter_batch`).
+    bincount applies increments in flow order, and the sum is then
+    added to every link slot at once.  The analyzer sums its core->core
+    flows only here, with or without flow collection; the compiled
+    core's scatter queues reproduce this order.
     """
     table, lens = topo.core_route_table()
     rows = src_cores * topo.arch.n_cores + dst_cores
@@ -296,7 +296,13 @@ def _matmul_needs(
 
 
 class GroupTrafficAnalyzer:
-    """Builds :class:`GroupTraffic` for a parsed layer group."""
+    """Builds :class:`GroupTraffic` for a parsed layer group.
+
+    Link volumes and DRAM tallies are summed one way, by the batched
+    scatters (:func:`dram_scatter_batch`, :func:`core_scatter_batch`)
+    and the weight multicast trees; ``collect_flows`` only appends a
+    :class:`FlowRecord` per transfer beside those sums.
+    """
 
     def __init__(
         self,
@@ -335,15 +341,7 @@ class GroupTrafficAnalyzer:
         *earlier* groups to the FD selector their ofmaps were written
         with.
         """
-        topo = self.topo
-        n_dram = len(topo.dram_nodes())
-        out = GroupTraffic(
-            traffic=TrafficMap(topo),
-            dram_read=np.zeros(n_dram),
-            dram_write=np.zeros(n_dram),
-            dram_weight_once=np.zeros(n_dram),
-            flows=[] if self.collect_flows else None,
-        )
+        out = self._fresh_accumulator()
         blocks = []
         for name in parsed.group.layers:
             blocks.append(
@@ -460,27 +458,35 @@ class GroupTrafficAnalyzer:
         ext = needs[:, 1::2] - needs[:, 0::2]
         volumes = ext[:, 0] * ext[:, 1] * ext[:, 2] * ext[:, 3]
         cores = dest_layer.part_arrays()[1]
-        bytes_per_elem = consumer.bytes_per_elem
         idx = np.nonzero(valid)[0]
-        if out.flows is None:
-            fetches = np.array(
-                [results[i].if_fetches for i in idx], dtype=np.float64
-            )
-            self._dram_flows_batch(
-                fd, cores[idx], volumes[idx] * bytes_per_elem * fetches,
-                out, write=False,
-            )
-            return
-        for i in idx:
-            volume = int(volumes[i]) * bytes_per_elem * results[i].if_fetches
-            self._from_dram(fd, int(cores[i]), volume, name, out)
+        fetches = np.array(
+            [results[i].if_fetches for i in idx], dtype=np.float64
+        )
+        self._dram_flows_batch(
+            fd, cores[idx], volumes[idx] * consumer.bytes_per_elem * fetches,
+            out, name, write=False,
+        )
 
-    def _dram_flows_batch(self, fd, cores, volumes, out, write):
-        """Scatter-add core<->DRAM flows (see :func:`dram_scatter_batch`)."""
+    def _dram_flows_batch(self, fd, cores, volumes, out, name, write):
+        """Scatter-add one layer's core<->DRAM flows (see
+        :func:`dram_scatter_batch`); when collecting, record each part's
+        ofmap write to (``write``) or ifmap read from every DRAM target."""
         tally = out.dram_write if write else out.dram_read
         dram_scatter_batch(
             self.topo, fd, cores, volumes, out.traffic.volumes, tally, write
         )
+        if out.flows is None:
+            return
+        targets = _dram_targets(self.topo, fd)
+        for core, volume in zip(cores.tolist(), volumes.tolist()):
+            node = self.topo.core_node(core)
+            for dram, share in targets:
+                if write:
+                    self._record(out, "ofmap", name, node, dram,
+                                 volume * share, src_layer=name)
+                else:
+                    self._record(out, "ifmap", name, dram, node,
+                                 volume * share)
 
     def _from_producer_parts(self, parsed, producer_name, need_arr, valid,
                              dest_layer, results, consumer_name, out):
@@ -508,30 +514,15 @@ class GroupTrafficAnalyzer:
         di, sj = np.nonzero(hits)
         fetches = np.array([r.if_fetches for r in results], dtype=np.float64)
         volumes = overlaps[di, sj] * bytes_per_elem * fetches[di]
+        core_scatter_batch(
+            topo, src_cores[sj], dest_cores[di], volumes, out.traffic.volumes,
+        )
         if out.flows is None:
-            # Fast path: accumulate every flow's route in one unbuffered
-            # scatter-add (bit-identical to sequential add_flow calls).
-            core_scatter_batch(
-                topo, src_cores[sj], dest_cores[di], volumes,
-                out.traffic.volumes,
-            )
             return
-        for idx, (i, j) in enumerate(zip(di, sj)):
-            volume = float(volumes[idx])
-            src_node = topo.core_node(int(src_cores[j]))
-            dst_node = topo.core_node(int(dest_cores[i]))
-            out.traffic.add_flow(src_node, dst_node, volume)
-            self._record(out, "ifmap", consumer_name, src_node, dst_node,
-                         volume, src_layer=producer_name)
-
-    def _from_dram(self, fd_value, core, volume, layer_name, out):
-        topo = self.topo
-        dst = topo.core_node(core)
-        for dram, share in _dram_targets(topo, fd_value):
-            v = volume * share
-            out.traffic.add_flow(dram, dst, v)
-            out.dram_read[dram[1]] += v
-            self._record(out, "ifmap", layer_name, dram, dst, v)
+        for src, dst, volume in zip(src_cores[sj].tolist(),
+                                    dest_cores[di].tolist(), volumes.tolist()):
+            self._record(out, "ifmap", consumer_name, topo.core_node(src),
+                         topo.core_node(dst), volume, src_layer=producer_name)
 
     # ------------------------------------------------------------------
     # Weights: deduplicated multicast per K-slice
@@ -578,28 +569,13 @@ class GroupTrafficAnalyzer:
     # ------------------------------------------------------------------
 
     def _layer_outputs(self, parsed, lms, name, out):
-        topo = self.topo
         fd = lms.scheme(name).fd.ofmap
         if fd < 0:
             return
         bytes_per_elem = self.graph.layer(name).bytes_per_elem
-        parsed_layer = parsed.layer(name)
-        if out.flows is None:
-            regions, cores = parsed_layer.part_arrays()
-            ext = regions[:, 1::2] - regions[:, 0::2]
-            volumes = (
-                ext[:, 0] * ext[:, 1] * ext[:, 2] * ext[:, 3]
-                * bytes_per_elem
-            )
-            self._dram_flows_batch(
-                fd, cores, volumes.astype(np.float64), out, write=True
-            )
-            return
-        for part in parsed_layer.parts:
-            volume = part.region.volume() * bytes_per_elem
-            src = topo.core_node(part.core)
-            for dram, share in _dram_targets(topo, fd):
-                v = volume * share
-                out.traffic.add_flow(src, dram, v)
-                out.dram_write[dram[1]] += v
-                self._record(out, "ofmap", name, src, dram, v, src_layer=name)
+        regions, cores = parsed.layer(name).part_arrays()
+        ext = regions[:, 1::2] - regions[:, 0::2]
+        volumes = ext[:, 0] * ext[:, 1] * ext[:, 2] * ext[:, 3] * bytes_per_elem
+        self._dram_flows_batch(
+            fd, cores, volumes.astype(np.float64), out, name, write=True
+        )

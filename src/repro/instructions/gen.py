@@ -9,11 +9,11 @@ its round with a SYNC barrier.
 
 from __future__ import annotations
 
+from repro.arch.energy import DEFAULT_ENERGY
 from repro.arch.params import ArchConfig
-from repro.fabric import Topology, build_topology
+from repro.fabric import Topology
 from repro.core.encoding import LayerGroupMapping
-from repro.core.parser import parse_lms
-from repro.evalmodel.traffic_analysis import GroupTrafficAnalyzer
+from repro.evalmodel.evaluator import Evaluator
 from repro.instructions.isa import CoreProgram, Instruction, Opcode
 from repro.intracore.cache import IntraCoreEngine
 from repro.workloads.graph import DNNGraph
@@ -27,18 +27,19 @@ def generate_programs(
     intracore: IntraCoreEngine | None = None,
     stored_at: dict[str, int] | None = None,
 ) -> dict[int, CoreProgram]:
-    """Static round programs for every core used by the group."""
-    from repro.arch.energy import DEFAULT_ENERGY
+    """Static round programs for every core used by the group.
 
-    topo = topo or build_topology(arch)
-    intracore = intracore or IntraCoreEngine(arch, DEFAULT_ENERGY)
-    parsed = parse_lms(graph, lms)
-    intra = {
-        name: [intracore.schedule(p.workload) for p in pl.parts]
-        for name, pl in parsed.layers.items()
-    }
-    analyzer = GroupTrafficAnalyzer(graph, arch, topo, collect_flows=True)
-    traffic = analyzer.analyze(parsed, lms, intra, stored_at or {})
+    ``intracore`` must be an engine for ``arch``'s core (see
+    :class:`~repro.evalmodel.evaluator.Evaluator`).
+    """
+    evaluator = Evaluator(
+        arch, topo=topo, intracore=intracore,
+        energy=DEFAULT_ENERGY if intracore is None else intracore.energy,
+    )
+    topo = evaluator.topo
+    parsed, _, traffic = evaluator.analyze_group(
+        graph, lms, stored_at, flows=True
+    )
 
     order = {name: i for i, name in enumerate(lms.group.layers)}
     programs: dict[int, list[Instruction]] = {}

@@ -32,9 +32,6 @@ class Instruction:
     #: Payload bytes for data movement; MAC count for COMPUTE.
     amount: float = 0.0
 
-    def is_transfer(self) -> bool:
-        return self.op in (Opcode.RECV, Opcode.SEND, Opcode.LOAD_WEIGHT)
-
 
 @dataclass(frozen=True)
 class CoreProgram:

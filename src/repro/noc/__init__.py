@@ -1,14 +1,10 @@
-"""NoC substrate: traffic accounting, multicast, flow simulation."""
+"""NoC substrate: per-link traffic accounting and multicast trees."""
 
-from repro.noc.flowsim import Flow, analytic_lower_bound, simulate_completion_time
 from repro.noc.multicast import multicast_hop_savings, multicast_tree
 from repro.noc.traffic import TrafficMap
 
 __all__ = [
-    "Flow",
     "TrafficMap",
-    "analytic_lower_bound",
     "multicast_hop_savings",
     "multicast_tree",
-    "simulate_completion_time",
 ]

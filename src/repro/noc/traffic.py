@@ -65,10 +65,6 @@ class TrafficMap:
             return 0.0
         return float(np.max(self.volumes / self._bandwidths))
 
-    def bottleneck_link(self) -> int:
-        """Index of the link with the largest drain time."""
-        return int(np.argmax(self.volumes / self._bandwidths))
-
     def total_byte_hops(self) -> float:
         """Σ bytes x hops — the NoC energy proxy (Sec VII-C)."""
         return float(self.volumes.sum())
@@ -87,9 +83,3 @@ class TrafficMap:
 
     def io_volume(self) -> float:
         return float(self.volumes[self._io_idx].sum())
-
-    def utilizations(self, window_s: float) -> np.ndarray:
-        """Per-link utilization over a time window (for heatmaps)."""
-        if window_s <= 0:
-            return np.zeros_like(self.volumes)
-        return self.volumes / (self._bandwidths * window_s)

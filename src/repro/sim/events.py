@@ -144,22 +144,20 @@ def messages_from_flows(
 
 
 def simulate_group_round(graph, arch, lms, topo=None, stored_at=None):
-    """Convenience: parse, analyze and simulate one round of a group.
+    """Convenience: analyze and simulate one round of a group.
 
     Returns ``(RoundStats, analytic_stage_time)`` so callers can compare
-    the event-driven makespan against the Evaluator's bound.
+    the event-driven makespan against the Evaluator's bound; the stage
+    time is the one ``Evaluator(arch).evaluate_group`` reports.
     """
-    from repro.evalmodel.delay import stage_times
+    from repro.evalmodel.delay import stage_times_from_compute
     from repro.evalmodel.evaluator import Evaluator
-    from repro.evalmodel.traffic_analysis import GroupTrafficAnalyzer
-    from repro.core.parser import parse_lms
 
     evaluator = Evaluator(arch, topo=topo)
     topo = evaluator.topo
-    parsed = parse_lms(graph, lms)
-    intra = evaluator._intra_results(parsed)
-    analyzer = GroupTrafficAnalyzer(graph, arch, topo, collect_flows=True)
-    traffic = analyzer.analyze(parsed, lms, intra, stored_at or {})
+    parsed, intra, traffic = evaluator.analyze_group(
+        graph, lms, stored_at, flows=True
+    )
     compute_times: dict[int, float] = {}
     for name, parsed_layer in parsed.layers.items():
         for part, res in zip(parsed_layer.parts, intra[name]):
@@ -168,5 +166,7 @@ def simulate_group_round(graph, arch, lms, topo=None, stored_at=None):
             )
     messages = messages_from_flows(topo, traffic.flows, compute_times)
     stats = RoundSimulator(topo).simulate(compute_times, messages)
-    analytic = stage_times(arch, intra, traffic).stage
+    analytic = stage_times_from_compute(
+        arch, stats.compute_finish, traffic
+    ).stage
     return stats, analytic

@@ -15,6 +15,12 @@ in one layer), layers split into more than eight K-slices (multicast
 trees over many slices), layers reading several input slices from DRAM,
 and explicit weight and ofmap FD selectors — so a change to the walk
 cannot silently shrink what is checked.
+
+The same states pin the oracle's flow collection: listing every
+transfer must leave link volumes and DRAM tallies bit-identical, so the
+event simulator, fed those flows, checks the very bound the search
+optimizes (its stage time equals the evaluator's, checked on each
+walk's last state).
 """
 
 import random
@@ -29,6 +35,7 @@ from repro.core.initial import initial_lms
 from repro.core.operators import OPERATORS, op5_change_flow
 from repro.evalmodel import Evaluator
 from repro.fabric import parse_fabric
+from repro.sim import simulate_group_round
 from repro.units import KB
 from repro.workloads.models import build
 
@@ -87,6 +94,18 @@ def _features(ceval, lms, cov):
             cov.add("explicit_ofmap")
 
 
+def _assert_flows_change_no_bits(oracle, graph, lms, stored, context):
+    """Flow collection only lists transfers beside the traffic sums."""
+    on = oracle.analyze_group(graph, lms, stored, flows=True)[2]
+    off = oracle.analyze_group(graph, lms, stored)[2]
+    assert on.flows and off.flows is None, context
+    assert on.traffic.volumes.tobytes() == off.traffic.volumes.tobytes(), \
+        context
+    for tally in ("dram_read", "dram_write", "dram_weight_once"):
+        assert getattr(on, tally).tobytes() == \
+            getattr(off, tally).tobytes(), (tally, context)
+
+
 @pytest.fixture(scope="module")
 def models():
     """Each model's graph and G-Arch layer groups (the groups only
@@ -124,6 +143,13 @@ def _fuzz_case(graph, groups, arch, seed, cov, used):
                 production.evaluate_group(graph, lms, BATCH, stored),
                 expected[k], f"{seed} group {gi} state {k}",
             )
+            _assert_flows_change_no_bits(
+                oracle, graph, lms, stored, f"{seed} group {gi} state {k}"
+            )
+        analytic = simulate_group_round(
+            graph, arch, states[-1], topo=production.topo, stored_at=stored
+        )[1]
+        assert analytic == expected[-1].stage_time, f"{seed} group {gi}"
         # The same states as one population: shared staging, the same
         # bits per slot.
         batched = evaluate_population(ceval, states, BATCH, stored)

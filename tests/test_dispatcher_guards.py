@@ -1,4 +1,5 @@
-"""Worker counts below one are refused, never spun on.
+"""Worker counts below one are refused, never spun on; huge waits
+are taken in pieces.
 
 ``run_tasks`` admits a task while fewer than ``workers`` are in flight,
 so a count below one would admit none and loop forever.  The
@@ -7,20 +8,25 @@ dispatcher and ``CampaignRunner.run`` refuse such counts up front
 ``run_sweep`` too; the ``--workers`` flags of ``dse``, ``sweep`` and
 ``campaign run`` take non-negative counts (``0`` means all CPUs).
 ``CampaignRunner.run`` likewise refuses a ``fail_after`` below one
-before it evaluates anything.
+before it evaluates anything.  A finite deadline or backoff past what
+the platform's ``wait`` and ``time.sleep`` accept no longer overflows
+them.
 
 Every call runs under a ``SIGALRM`` deadline, so a regression fails
 its test instead of hanging the suite.
 """
 
 import signal
+import threading
 from contextlib import contextmanager
 
 import pytest
 
-from repro.campaign import CampaignRunner
+from repro.campaign import CampaignRunner, RetryPolicy
 from repro.cli.main import build_parser
+from repro.dse import pool as pool_mod
 from repro.dse.pool import run_tasks
+from repro.errors import ReproError
 from repro.frontend import Scenario, run_sweep
 from repro.io.serialization import save_graph
 
@@ -98,3 +104,41 @@ def test_cli_refuses_negative_workers(argv, capsys):
     assert "--workers" in capsys.readouterr().err
     # 0 still parses: the commands read it as "all CPUs".
     assert build_parser().parse_args(argv + ["--workers", "0"]).workers == 0
+
+
+def echo_index(explorer, index):
+    return index
+
+
+def test_huge_deadline_on_a_pool_completes():
+    """A 1e10 s deadline used to overflow the pool's ``wait``."""
+    done = {}
+    with deadline():
+        run_tasks([(0, echo_index, ())], 1,
+                  lambda i, outcome, attempt, pid: done.update({i: outcome}),
+                  policy=RetryPolicy(timeout_s=1e10))
+    assert done == {0: 0}
+
+
+def test_huge_in_process_backoff_sleeps_in_pieces(monkeypatch):
+    """A 1e10 s backoff used to reach ``time.sleep`` in one call, which
+    overflows; it is now slept in pieces that add up to the delay."""
+    slept = []
+    monkeypatch.setattr(pool_mod.time, "sleep", slept.append)
+    calls = []
+
+    def fail_once(explorer, index):
+        calls.append(index)
+        if len(calls) == 1:
+            raise ReproError("transient")
+        return index
+
+    policy = RetryPolicy(max_attempts=2, backoff_s=1e10)
+    done = {}
+    with deadline():
+        run_tasks([(0, fail_once, ())], 1,
+                  lambda i, outcome, attempt, pid: done.update({i: outcome}),
+                  policy=policy)
+    assert done == {0: 0} and calls == [0, 0]
+    assert max(slept) <= threading.TIMEOUT_MAX
+    assert sum(slept) == pytest.approx(policy.delay_s("candidate 0", 2))

@@ -12,8 +12,7 @@ from repro.core.encoding import (
     Partition,
 )
 from repro.core.initial import initial_lms
-from repro.evalmodel import Evaluator, GroupTrafficAnalyzer, pipeline_utilization
-from repro.core.parser import parse_lms
+from repro.evalmodel import Evaluator, pipeline_utilization
 from repro.units import GB, MB
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer, LayerType
@@ -96,15 +95,14 @@ class TestGroupEvaluation:
         ev8 = Evaluator(arch).evaluate_group(g, lms, batch=8)
         assert ev8.delay > 4 * ev1.delay
 
-    def test_keep_traffic_exposes_map(self):
+    def test_analyze_group_exposes_map(self):
         g = two_layer_graph()
         arch = small_arch()
         lms = manual_lms(
             g, (0,), (15,), Partition(1, 1, 1, 1), Partition(1, 1, 1, 1)
         )
-        ev = Evaluator(arch).evaluate_group(g, lms, batch=1, keep_traffic=True)
-        assert ev.traffic is not None
-        assert ev.traffic.total_byte_hops() > 0
+        traffic = Evaluator(arch).analyze_group(g, lms)[2].traffic
+        assert traffic.total_byte_hops() > 0
 
 
 class TestTrafficConservation:
@@ -117,10 +115,7 @@ class TestTrafficConservation:
             g, (0,), (15,), Partition(1, 1, 1, 1), Partition(1, 1, 1, 1)
         )
         evaluator = Evaluator(arch)
-        parsed = parse_lms(g, lms)
-        intra = evaluator._intra_results(parsed)
-        analyzer = GroupTrafficAnalyzer(g, arch, evaluator.topo)
-        traffic = analyzer.analyze(parsed, lms, intra, {})
+        _, intra, traffic = evaluator.analyze_group(g, lms)
         hops = len(evaluator.topo.route(
             evaluator.topo.core_node(0), evaluator.topo.core_node(15)
         ))
@@ -137,11 +132,7 @@ class TestTrafficConservation:
         lms = manual_lms(
             g, (0, 1), (2, 3), Partition(1, 1, 1, 2), Partition(2, 1, 1, 1)
         )
-        evaluator = Evaluator(arch)
-        parsed = parse_lms(g, lms)
-        intra = evaluator._intra_results(parsed)
-        analyzer = GroupTrafficAnalyzer(g, arch, evaluator.topo)
-        traffic = analyzer.analyze(parsed, lms, intra, {})
+        traffic = Evaluator(arch).analyze_group(g, lms)[2]
         reads = traffic.dram_read + traffic.dram_weight_once
         assert reads.sum() > 0
         # Interleaved flows spread within 2x across DRAM dies.
@@ -157,11 +148,7 @@ class TestTrafficConservation:
             "b": MappingScheme(Partition(2, 1, 1, 1), (2, 3),
                                FlowOfData(IMPLICIT, 1, 1)),
         })
-        evaluator = Evaluator(arch)
-        parsed = parse_lms(g, lms)
-        intra = evaluator._intra_results(parsed)
-        analyzer = GroupTrafficAnalyzer(g, arch, evaluator.topo)
-        traffic = analyzer.analyze(parsed, lms, intra, {})
+        traffic = Evaluator(arch).analyze_group(g, lms)[2]
         totals = traffic.dram_round_bytes + traffic.dram_weight_once
         assert totals[0] > 0
         assert totals[1:].sum() == 0

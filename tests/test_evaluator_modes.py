@@ -1,5 +1,5 @@
-"""Tests for evaluator variants: max–min network model, SerDes D2D
-energy model, and the GoogLeNet workload addition."""
+"""Tests for evaluator variants: the SerDes D2D energy model and the
+GoogLeNet workload addition."""
 
 import pytest
 
@@ -18,39 +18,6 @@ def tf_setup():
     groups = partition_graph(graph, arch, batch=8)
     lms = initial_lms(graph, groups[1], arch)
     return graph, arch, lms
-
-
-class TestMaxMinNetworkModel:
-    def test_rejects_unknown_model(self):
-        with pytest.raises(ValueError):
-            Evaluator(g_arch(), network_model="magic")
-
-    def test_maxmin_upper_bounds_analytic(self, tf_setup):
-        graph, arch, lms = tf_setup
-        bound = Evaluator(arch).evaluate_group(graph, lms, batch=8)
-        maxmin = Evaluator(arch, network_model="maxmin").evaluate_group(
-            graph, lms, batch=8
-        )
-        assert maxmin.network_time >= bound.network_time * (1 - 1e-9)
-        assert maxmin.delay >= bound.delay * (1 - 1e-9)
-
-    def test_maxmin_leaves_other_terms(self, tf_setup):
-        graph, arch, lms = tf_setup
-        bound = Evaluator(arch).evaluate_group(graph, lms, batch=8)
-        maxmin = Evaluator(arch, network_model="maxmin").evaluate_group(
-            graph, lms, batch=8
-        )
-        assert maxmin.compute_time == pytest.approx(bound.compute_time)
-        assert maxmin.dram_time == pytest.approx(bound.dram_time)
-
-    def test_maxmin_full_mapping(self, tf_setup):
-        graph, arch, _ = tf_setup
-        groups = partition_graph(graph, arch, batch=4)
-        lmss = [initial_lms(graph, g, arch) for g in groups]
-        ev = Evaluator(arch, network_model="maxmin").evaluate_mapping(
-            graph, lmss, batch=4
-        )
-        assert ev.delay > 0
 
 
 class TestSerDesD2DModel:

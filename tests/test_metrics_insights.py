@@ -12,10 +12,8 @@ from repro.core import (
 )
 from repro.core.graphpart import partition_graph
 from repro.core.initial import initial_lms
-from repro.core.parser import parse_lms
 from repro.evalmodel import (
     Evaluator,
-    GroupTrafficAnalyzer,
     average_concurrent_layers,
     d2d_energy_share,
     dram_bytes_per_inference,
@@ -94,11 +92,7 @@ class TestD2DMinimizationClaim:
         final = sa.run()[0]
 
         def d2d_volume(lms):
-            parsed = parse_lms(graph, lms)
-            intra = evaluator._intra_results(parsed)
-            traffic = GroupTrafficAnalyzer(
-                graph, arch, evaluator.topo
-            ).analyze(parsed, lms, intra, {})
+            traffic = evaluator.analyze_group(graph, lms)[2]
             return traffic.traffic.d2d_volume()
 
         assert d2d_volume(final) < d2d_volume(initial)

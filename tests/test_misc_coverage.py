@@ -6,8 +6,7 @@ from repro.arch import ArchConfig, FoldedTorusTopology, MeshTopology
 from repro.core import LayerGroup
 from repro.core.initial import initial_lms
 from repro.core.graphpart import partition_graph
-from repro.core.parser import parse_lms
-from repro.evalmodel import Evaluator, GroupTrafficAnalyzer
+from repro.evalmodel import Evaluator
 from repro.evalmodel.traffic_analysis import FlowRecord, round_flows
 from repro.noc import TrafficMap
 from repro.reporting import link_heat, render_ascii
@@ -139,11 +138,7 @@ class TestAnalyzerFlowFlags:
         evaluator = Evaluator(a)
         group = partition_graph(graph, a, batch=8)[1]
         lms = initial_lms(graph, group, a)
-        parsed = parse_lms(graph, lms)
-        intra = evaluator._intra_results(parsed)
-        analyzer = GroupTrafficAnalyzer(graph, a, evaluator.topo,
-                                        collect_flows=True)
-        traffic = analyzer.analyze(parsed, lms, intra, {})
+        traffic = evaluator.analyze_group(graph, lms, flows=True)[2]
         weight_flows = [f for f in traffic.flows if f.kind == "weight"]
         assert weight_flows
         assert all(f.once for f in weight_flows)

@@ -1,18 +1,9 @@
 """Unit tests for the NoC substrate."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.arch import ArchConfig, MeshTopology
-from repro.noc import (
-    Flow,
-    TrafficMap,
-    analytic_lower_bound,
-    multicast_hop_savings,
-    multicast_tree,
-    simulate_completion_time,
-)
+from repro.noc import TrafficMap, multicast_hop_savings, multicast_tree
 from repro.units import GB, MB
 
 
@@ -88,67 +79,3 @@ class TestMulticast:
     def test_single_destination_tree_is_path(self, topo):
         src, dst = ("core", 0, 0), ("core", 2, 2)
         assert multicast_tree(topo, src, [dst]) == frozenset(topo.route(src, dst))
-
-
-class TestFlowSim:
-    def test_single_flow_time(self, topo):
-        flow = Flow(topo.route(("core", 0, 0), ("core", 1, 0)), 32 * GB)
-        t = simulate_completion_time(topo, [flow])
-        assert t == pytest.approx(1.0)
-
-    def test_two_flows_share_a_link(self, topo):
-        route = topo.route(("core", 0, 0), ("core", 1, 0))
-        flows = [Flow(route, 16 * GB), Flow(route, 16 * GB)]
-        t = simulate_completion_time(topo, flows)
-        assert t == pytest.approx(1.0)  # both at half rate
-
-    def test_unequal_flows_finish_in_stages(self, topo):
-        route = topo.route(("core", 0, 0), ("core", 1, 0))
-        flows = [Flow(route, 8 * GB), Flow(route, 24 * GB)]
-        # Fair sharing: small flow done at t=0.5; big finishes at t=1.0.
-        t = simulate_completion_time(topo, flows)
-        assert t == pytest.approx(1.0)
-
-    def test_empty_routes_complete_instantly(self, topo):
-        assert simulate_completion_time(topo, [Flow((), 100.0)]) == 0.0
-
-    def test_analytic_is_lower_bound(self, topo):
-        rng = np.random.default_rng(7)
-        cores = topo.core_nodes()
-        flows = []
-        for _ in range(20):
-            a, b = rng.choice(len(cores), 2, replace=False)
-            flows.append(
-                Flow(topo.route(cores[a], cores[b]), float(rng.integers(1, 100)) * 1e6)
-            )
-        lb = analytic_lower_bound(topo, flows)
-        sim = simulate_completion_time(topo, flows)
-        assert sim >= lb * (1 - 1e-9)
-
-    def test_bound_tight_for_single_bottleneck(self, topo):
-        route = topo.route(("core", 0, 0), ("core", 3, 0))
-        flows = [Flow(route, 10 * GB)]
-        assert simulate_completion_time(topo, flows) == pytest.approx(
-            analytic_lower_bound(topo, flows)
-        )
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
-                          st.floats(1.0, 1e9)), min_size=1, max_size=12))
-def test_flowsim_vs_bound_property(pairs):
-    arch = ArchConfig(
-        cores_x=4, cores_y=4, xcut=1, ycut=1,
-        dram_bw=64 * GB, noc_bw=32 * GB, d2d_bw=32 * GB,
-        glb_bytes=1 * MB, macs_per_core=1024,
-    )
-    topo = MeshTopology(arch)
-    flows = [
-        Flow(topo.route(topo.core_node(a), topo.core_node(b)), vol)
-        for a, b, vol in pairs
-    ]
-    lb = analytic_lower_bound(topo, flows)
-    sim = simulate_completion_time(topo, flows)
-    assert sim >= lb * (1 - 1e-9)
-    # And the simulator can't be worse than fully serializing every flow.
-    assert sim <= sum(f.volume for f in flows) / (32 * GB) + 1e-9

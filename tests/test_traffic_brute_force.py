@@ -22,8 +22,7 @@ from repro.core.encoding import (
     MappingScheme,
     Partition,
 )
-from repro.core.parser import parse_lms
-from repro.evalmodel import Evaluator, GroupTrafficAnalyzer
+from repro.evalmodel import Evaluator
 from repro.units import GB, MB
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer, LayerType
@@ -102,12 +101,7 @@ def brute_force_volumes(graph, parsed, consumer_name, producer_name):
 
 def analyzer_volumes(graph, arch, lms, consumer_name):
     evaluator = Evaluator(arch)
-    parsed = parse_lms(graph, lms)
-    intra = evaluator._intra_results(parsed)
-    analyzer = GroupTrafficAnalyzer(
-        graph, arch, evaluator.topo, collect_flows=True
-    )
-    traffic = analyzer.analyze(parsed, lms, intra, {})
+    parsed, intra, traffic = evaluator.analyze_group(graph, lms, flows=True)
     volumes = {}
     for f in traffic.flows:
         if f.kind != "ifmap" or f.src[0] != "core":
