@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 from repro.errors import ReproError
@@ -106,11 +107,16 @@ class RetryPolicy:
 
     def delay_s(self, key: str, attempt: int) -> float:
         """Backoff before dispatching ``attempt`` (2-based: the first
-        retry).  Deterministic per ``(seed, key, attempt)``."""
+        retry).  Deterministic per ``(seed, key, attempt)``; saturates
+        at the largest float rather than overflowing."""
         if attempt <= 1 or self.backoff_s <= 0:
             return 0.0
-        base = self.backoff_s * self.backoff_factor ** (attempt - 2)
-        return max(0.0, base * (1.0 + self.jitter * self.jitter_u(key, attempt)))
+        try:
+            base = self.backoff_s * self.backoff_factor ** (attempt - 2)
+        except OverflowError:
+            base = math.inf
+        delay = base * (1.0 + self.jitter * self.jitter_u(key, attempt))
+        return max(0.0, min(sys.float_info.max, delay))
 
 
 #: Failure causes recorded on quarantine / retry events.

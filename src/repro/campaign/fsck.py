@@ -25,7 +25,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.io.atomic import atomic_write_json, atomic_write_text
+from repro.campaign.store import ResultStore, parse_record
+from repro.io.atomic import atomic_write_text
 
 #: Sidecar directory (under the store root) for quarantined bad lines.
 QUARANTINE_DIR = "quarantine"
@@ -89,15 +90,6 @@ class FsckReport:
         return self.corrupt_lines == 0 and self.index_status != "corrupt"
 
 
-def _parse_line(line: str):
-    """``(kind, key, payload)`` of a record line, or ``None``."""
-    try:
-        rec = json.loads(line)
-        return rec["kind"], rec["key"], rec["payload"]
-    except (json.JSONDecodeError, KeyError, TypeError):
-        return None
-
-
 def _scan_segment(seg: Path):
     """Split a segment into good (line, kind, key) triples and bad lines
     (with their position classification)."""
@@ -105,7 +97,7 @@ def _scan_segment(seg: Path):
     bad: list[str] = []
     lines = [l for l in seg.read_text().splitlines() if l.strip()]
     last_good = -1
-    parsed = [(_parse_line(l), l) for l in lines]
+    parsed = [(parse_record(l), l) for l in lines]
     for i, (rec, _) in enumerate(parsed):
         if rec is not None:
             last_good = i
@@ -194,25 +186,13 @@ def fsck_store(root: str | Path, repair: bool = False) -> FsckReport:
             "".join(line + "\n" for line, _, _ in good),
         )
 
-    # Rebuild the index from the repaired segments (last record wins,
-    # matching the loader).
-    locations: dict[tuple[str, str], str] = {}
-    for seg in sorted(segments_dir.glob("*.jsonl")):
-        for line in seg.read_text().splitlines():
-            rec = _parse_line(line) if line.strip() else None
-            if rec is not None:
-                locations[(rec[0], rec[1])] = seg.name
-    counts: dict[str, int] = {}
-    for kind, _ in locations:
-        counts[kind] = counts.get(kind, 0) + 1
-    index = {"counts": counts, "skipped_lines": 0, "keys": {}}
-    for (kind, key), seg_name in sorted(locations.items()):
-        index["keys"].setdefault(kind, {})[key] = seg_name
-    atomic_write_json(root / "index.json", index)
+    # Rebuild the index from the repaired segments with the store's
+    # own loader and writer (last record wins).
+    ResultStore(root).write_index()
 
     report.repaired = True
     report.quarantined_lines = quarantined
-    report.index_status = "ok"
+    report.index_status = _index_status(root, live)
     return report
 
 

@@ -22,8 +22,9 @@ search configuration, bound to a directory.  The runner
   uninterrupted run saw — determinism survives the crash;
 * appends one run-ledger event (:mod:`repro.obs.ledger`) per start or
   resume, checkpoint, failure, fault and finish, and closes every run
-  with a ``perf`` event: a snapshot of the whole process's ``PERF``,
-  which the runner never resets.
+  with a ``perf`` event: the counters and timers ``PERF`` gained during
+  that run (its end snapshot minus the one taken at its start), so a
+  resume in the same process logs its own work only.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from repro.io.serialization import (
 )
 from repro.obs.ledger import RunLedger, failure_digest, ledger_path
 from repro.perf import PERF
+from repro.perf.counters import snapshot_delta
 
 MANIFEST_NAME = "manifest.json"
 STORE_DIR = "store"
@@ -469,6 +471,7 @@ class CampaignRunner:
         if fail_after is not None and fail_after < 1:
             raise ValueError(
                 f"fail_after must be >= 1 or None, got {fail_after}")
+        perf_at_start = PERF.snapshot()
         policy = policy or RetryPolicy()
         self._policy = policy
         todo = self.pending(retry_quarantined=retry_quarantined)
@@ -535,18 +538,8 @@ class CampaignRunner:
                 outcome,
                 evaluated=completed, failed=failed, store_hits=hits,
             )
-            snap = PERF.snapshot()
-            snap.pop("spans", None)
-            perf_fields = {
-                "counters": snap.get("counters", {}),
-                "timers": snap.get("timers", {}),
-            }
-            # Per-pid operator-effectiveness totals (present only when
-            # the campaign ran with SASettings.diag) — what makes
-            # ``repro campaign report`` store-only.
-            if snap.get("diag"):
-                perf_fields["diag"] = snap["diag"]
-            self._ledger.emit("perf", **perf_fields)
+            self._ledger.emit(
+                "perf", **snapshot_delta(perf_at_start, PERF.snapshot()))
             self._ledger.close()
             self._ledger = None
             self._policy = None

@@ -53,6 +53,16 @@ class StoreError(ReproError):
     """The store directory is unusable or a record is malformed."""
 
 
+def parse_record(line: str) -> tuple[str, str, dict] | None:
+    """``(kind, key, payload)`` of one segment line, or ``None`` for a
+    line that is not a record (a torn tail, foreign junk)."""
+    try:
+        rec = json.loads(line)
+        return rec["kind"], rec["key"], rec["payload"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return None
+
+
 class ResultStore:
     """Append-only, content-addressed result store over JSONL segments."""
 
@@ -87,14 +97,13 @@ class ResultStore:
         for line in text.splitlines():
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-                kind, key, payload = rec["kind"], rec["key"], rec["payload"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+            rec = parse_record(line)
+            if rec is None:
                 # Torn tail of a crashed writer (or foreign junk): the
                 # record was never acknowledged, so dropping it is safe.
                 self._skipped_lines += 1
                 continue
+            kind, key, payload = rec
             self._records[(kind, key)] = payload
             self._locations[(kind, key)] = seg.name
 

@@ -12,10 +12,13 @@ from the *latest* run, from its last ``run_started``/``run_resumed``
 ledger event on.  Both rates are summed over shards, which run in
 parallel: cand/s adds each shard's evaluated count over its busy time,
 and SA it/s is cand/s times the run's SA iterations per evaluated
-candidate, read from its final ``perf`` event — ``None`` (and no caches
-or operator tables) until that event is written.  ``failures`` and
-``quarantined`` list the candidates the store still holds as failed or
-poison; the ledger only details them.
+candidate, read from its final ``perf`` event (what that run added to
+``PERF``) — ``None``, and no caches, until that event is written.
+``diag_by_pid`` holds one operator table per shard, folded from the
+stored per-restart diagnostics of each candidate the run has
+checkpointed, so a running ``--diag`` campaign shows it already.
+``failures`` and ``quarantined`` list the candidates the store still
+holds as failed or poison; the ledger only details them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.dse.pareto import AXES
 from repro.obs.diag import (
     OPERATOR_HEADERS,
     curve_summary,
+    merge_op_stats,
     merged_operator_table,
     operator_rows,
 )
@@ -64,6 +68,7 @@ def campaign_view(home: str | Path, name: str,
     keys = manifest["candidate_keys"]
     done = [(i, r) for i, r in enumerate(stored_results(store, keys))
             if r is not None]
+    by_key = {keys[i]: r for i, r in done}
     results = [r for _, r in done]
     key_set = set(keys)
     poison = store.quarantined_keys(KIND_CANDIDATE) & key_set
@@ -81,13 +86,15 @@ def campaign_view(home: str | Path, name: str,
     run_event = segment[0] if starts else None
     shards: dict[int, dict] = {}
     faults = dict.fromkeys(_FAULT_COUNTS.values(), 0)
+    diag_by_pid: dict[str, dict] = {}
     for ev in segment:
         kind = ev["event"]
         if kind in _FAULT_COUNTS:
             faults[_FAULT_COUNTS[kind]] += 1
         if kind not in _SHARD_COUNTS:
             continue
-        shard = shards.setdefault(int(ev.get("shard", ev["pid"])), {
+        pid = int(ev.get("shard", ev["pid"]))
+        shard = shards.setdefault(pid, {
             "evaluated": 0, "failed": 0, "busy_s": 0.0, "last_ts": 0.0,
             "attempts": 0, "retries": 0, "timeouts": 0, "quarantined": 0,
         })
@@ -97,6 +104,14 @@ def campaign_view(home: str | Path, name: str,
         if kind == "candidate_evaluated":
             shard["attempts"] += int(ev.get("attempts", 1))
             shard["busy_s"] += float(ev.get("duration_s", 0.0))
+            stored = by_key.get(ev.get("key"))
+            if stored is None:
+                continue
+            # Workloads and restarts in the order the store keeps them.
+            for diag in stored.sa_diag.values():
+                for restart in diag.get("restarts", ()):
+                    merge_op_stats(diag_by_pid.setdefault(str(pid), {}),
+                                   restart.get("operators", {}))
     for shard in shards.values():
         shard["rate"] = (shard["evaluated"] / shard["busy_s"]
                          if shard["busy_s"] > 0 else 0.0)
@@ -174,7 +189,7 @@ def campaign_view(home: str | Path, name: str,
         "busy_s": sum(s["busy_s"] for s in shards.values()),
         "eta_s": pending / cand_rate if cand_rate > 0 and pending else None,
         "caches": cache_stats(counters),
-        "diag_by_pid": (perf or {}).get("diag") or {},
+        "diag_by_pid": diag_by_pid,
         "candidates": candidates,
         "iters_to_best": {
             "warm_mean": _mean(itb["warm"]), "warm_runs": len(itb["warm"]),

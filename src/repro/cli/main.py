@@ -101,21 +101,28 @@ def fabric_overridden(arch: ArchConfig, args) -> ArchConfig:
 
 
 def fabric_axis(args) -> list | None:
-    """Parsed ``--fabric`` list for grid commands (None = mesh only)."""
+    """``--fabric``/``--routing`` of a grid command (``dse``, ``sweep``,
+    ``campaign run``) as parsed fabric specs; ``None`` when neither flag
+    is given (the default mesh only).
+
+    ``--routing`` folds into every entry, and alone it applies to the
+    default mesh, so neither flag is ever silently dropped.  Bad specs
+    abort before any work starts.
+    """
     from dataclasses import replace
 
     from repro.errors import ReproError
     from repro.fabric import parse_fabric
 
-    if not getattr(args, "fabric", None):
+    if not args.fabric and not args.routing:
         return None
     try:
-        specs = [parse_fabric(f) for f in args.fabric]
-        if getattr(args, "routing", None):
-            specs = [replace(s, routing=args.routing) for s in specs]
-        return specs
+        specs = [parse_fabric(f) for f in args.fabric or ["mesh"]]
     except ReproError as exc:
         raise SystemExit(str(exc)) from exc
+    if args.routing:
+        specs = [replace(s, routing=args.routing) for s in specs]
+    return specs
 
 
 def add_fabric_flags(p, multiple: bool = False) -> None:
@@ -247,9 +254,6 @@ def profile_report(args, extra: dict | None = None) -> None:
     from repro.perf.counters import cache_table
 
     snap = PERF.snapshot()
-    # Spans belong in the --trace file; a span dump would bloat
-    # BENCH_perf.json without being a benchmarkable number.
-    snap.pop("spans", None)
     rows = PERF.rows()
     if rows:
         print()
@@ -441,36 +445,12 @@ def cmd_import(args) -> int:
     return 0
 
 
-def sweep_fabrics(args) -> list[str] | None:
-    """``--fabric``/``--routing`` as scenario fabric strings.
-
-    ``--routing`` folds into every entry (a routing override with no
-    ``--fabric`` applies to the default mesh), so neither flag is ever
-    silently dropped.  Bad specs abort before any scenario runs.
-    """
-    from dataclasses import replace
-
-    from repro.errors import ReproError
-    from repro.fabric import format_fabric, parse_fabric
-
-    if not args.fabric and not args.routing:
-        return None
-    try:
-        out = []
-        for entry in args.fabric or ["mesh"]:
-            spec = parse_fabric(entry)
-            if args.routing:
-                spec = replace(spec, routing=args.routing)
-            out.append(format_fabric(spec))
-        return out
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
-
-
 def cmd_sweep(args) -> int:
     from repro.errors import ReproError as _ReproError
+    from repro.fabric import format_fabric
 
-    fabrics = sweep_fabrics(args)
+    specs = fabric_axis(args)
+    fabrics = None if specs is None else [format_fabric(s) for s in specs]
     if args.scenarios:
         missing = [n for n in args.scenarios if n not in SCENARIO_REGISTRY]
         if missing:
@@ -661,9 +641,8 @@ def cmd_campaign_watch(args) -> int:
     """Render the campaign until interrupted (or once).  ``--json``
     prints each frame as one JSON line: the view without its
     per-candidate list, the one part that grows with the campaign."""
-    import time
-
     from repro.campaign.view import render_watch
+    from repro.dse.pool import _sleep
 
     try:
         while True:
@@ -678,7 +657,7 @@ def cmd_campaign_watch(args) -> int:
             print(frame, flush=True)
             if args.once:
                 return 0
-            time.sleep(args.interval)
+            _sleep(args.interval)
     except KeyboardInterrupt:
         return 0
 

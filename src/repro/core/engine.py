@@ -61,7 +61,6 @@ class MappingResult:
 class MappingEngineSettings:
     sa: SASettings = field(default_factory=SASettings)
     max_group_layers: int = 10
-    validate: bool = True
     #: Independent SA restarts (different seeds); the best run wins.
     #: Restarts trade wall-clock for robustness against unlucky seeds.
     restarts: int = 1
@@ -100,9 +99,8 @@ class MappingEngine:
             max_group_layers=self.settings.max_group_layers,
         )
         lmss = [initial_lms(graph, g, self.arch) for g in groups]
-        if self.settings.validate:
-            for lms in lmss:
-                validate_lms(graph, lms, self.arch.n_cores, self.arch.n_dram)
+        for lms in lmss:
+            validate_lms(graph, lms, self.arch.n_cores, self.arch.n_dram)
         return lmss
 
     def _check_initial(
@@ -172,9 +170,8 @@ class MappingEngine:
                         candidate, cost, controller.stats
                     )
             lmss = best_lmss
-        if self.settings.validate:
-            for lms in lmss:
-                validate_lms(graph, lms, self.arch.n_cores, self.arch.n_dram)
+        for lms in lmss:
+            validate_lms(graph, lms, self.arch.n_cores, self.arch.n_dram)
         evaluation = self.evaluator.evaluate_mapping(graph, lmss, batch)
         return MappingResult(
             arch=self.arch,

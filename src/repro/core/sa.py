@@ -220,8 +220,5 @@ class SAController:
             PERF.add("sa.iterations", s.iterations)
         walk.report(PERF)
         if diag is not None:
-            from repro.obs.diag import DIAG
-
             self.stats.diag = diag.to_dict(self.stats)
-            DIAG.record(self.stats.diag["operators"])
         return list(self.best)

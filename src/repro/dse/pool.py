@@ -16,7 +16,10 @@ arguments with the parent's memory (CPython does not pickle process
 arguments under fork), and with them the graph tables
 ``explorer.prepare()`` compiled before the first worker started; spawn
 workers (the macOS/Windows default) unpickle them once each and
-compile their own tables on first use.
+compile their own tables on first use.  Telemetry comes back one way
+too: each task returns its outcome with the worker's ``PERF`` snapshot
+and its spans, both cleared before the task, and :func:`run_tasks`
+merges them into the parent's ``PERF`` and ``TRACER``.
 
 The pool is also *supervisable*: a SIGKILL'd or hung worker breaks a
 ``ProcessPoolExecutor`` permanently (every outstanding future raises
@@ -50,6 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.dse import explorer as explorer_mod
 from repro.errors import ReproError
+from repro.obs.trace import TRACER
 from repro.perf import PERF
 
 #: Worker-process state: the pool's explorer (``None`` for a pool
@@ -90,15 +94,18 @@ def _run_in_worker(task):
     """The one worker entry: run an ``(index, fn, args, attempt)`` task.
 
     Fires the chaos hook (when armed) with ``(index, attempt)``, resets
-    the process-local ``PERF`` registry so the task ships its own delta,
-    and returns ``(fn(explorer, index, *args), snapshot)``.  It opens no
+    the process-local ``PERF`` registry and clears ``TRACER`` so the
+    task ships only its own counters and spans, and returns
+    ``(fn(explorer, index, *args), perf_snapshot, spans)``.  It opens no
     span of its own, so a task's spans stay roots in the worker.
     """
     index, fn, args, attempt = task
     if explorer_mod._EVAL_HOOK is not None:
         explorer_mod._EVAL_HOOK(index, attempt)
     PERF.reset()
-    return fn(_WORKER_EXPLORER, index, *args), PERF.snapshot()
+    TRACER.clear()
+    outcome = fn(_WORKER_EXPLORER, index, *args)
+    return outcome, PERF.snapshot(), TRACER.snapshot()
 
 
 def _kill_workers(executor: ProcessPoolExecutor) -> None:
@@ -167,7 +174,8 @@ class PersistentEvalPool:
 
     def submit(self, task) -> Future:
         """Dispatch one ``(index, fn, args, attempt)`` task to the
-        worker entry; the future yields ``(outcome, perf_snapshot)``."""
+        worker entry; the future yields ``(outcome, perf_snapshot,
+        spans)``."""
         PERF.add("dse.pool.dispatched")
         return self._pool.submit(_run_in_worker, task)
 
@@ -188,9 +196,10 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
     or on a private pool closed on return when ``explorer`` is None.
 
     Every task that finishes is handed over as ``on_result(index,
-    outcome, attempt, pid)``, after its worker's ``PERF`` snapshot is
-    merged.  Every task that fails for good goes to ``on_failure(index,
-    error, attempts, cause)``; without it, the first failure in task
+    outcome, attempt, pid)``, after its worker's ``PERF`` snapshot and
+    spans are merged into this process's ``PERF`` and ``TRACER``.
+    Every task that fails for good goes to ``on_failure(index, error,
+    attempts, cause)``; without it, the first failure in task
     order is raised once every task has reached an outcome — a crash as
     ``WorkerCrashed``, a timeout as ``CandidateTimeout``, an evaluation
     error as a ``ReproError`` naming the task (``label(index)``).
@@ -262,7 +271,7 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
         if pool is None:
             fut = Future()
             try:
-                fut.set_result((fn(explorer, index, *args), None))
+                fut.set_result((fn(explorer, index, *args), None, None))
             except Exception as exc:  # noqa: BLE001 - as from a worker
                 fut.set_exception(exc)
         else:
@@ -313,13 +322,14 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
     def settle(fut, task, attempt: int, probe: bool) -> None:
         """Hand a finished task over, or charge its evaluation error."""
         try:
-            outcome, snapshot = fut.result()
+            outcome, snapshot, spans = fut.result()
         except ReproError as exc:
             charge(task, probe, CAUSE_ERROR, exc)
             return
         pid = os.getpid()
         if snapshot is not None:
             PERF.merge(snapshot)
+            TRACER.merge(spans)
             pid = snapshot["pid"]
         on_result(task[0], outcome, attempt, pid)
 
@@ -404,7 +414,14 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
                         (probes if probe else pending).appendleft(task)
                     respawn()
             if errors:
-                raise errors[0]
+                # Raised with the list emptied: a list holding the error
+                # would tie its traceback, and every frame on it (the
+                # caller's runner and explorer among them), into a cycle
+                # only the cyclic GC frees.
+                try:
+                    raise errors[0]
+                finally:
+                    errors.clear()
     finally:
         for fut in inflight:
             fut.cancel()

@@ -83,12 +83,10 @@ class Topology(Protocol):
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
     def route(self, src: NodeId, dst: NodeId) -> tuple[int, ...]: ...
-    def route_array(self, src: NodeId, dst: NodeId) -> np.ndarray: ...
     def core_route_table(self) -> tuple[np.ndarray, np.ndarray]: ...
     def dram_route_tables(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]: ...
-    def hop_count(self, src: NodeId, dst: NodeId) -> int: ...
 
 
 class BaseTopology:
@@ -108,7 +106,6 @@ class BaseTopology:
         self._by_endpoints: dict[tuple[NodeId, NodeId], Link] = {}
         self._dram_attach: dict[NodeId, NodeId] = {}
         self._route_cache: dict[tuple[NodeId, NodeId], tuple[int, ...]] = {}
-        self._route_array_cache: dict[tuple[NodeId, NodeId], np.ndarray] = {}
         self._link_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._core_route_table: tuple[np.ndarray, np.ndarray] | None = None
         self._dram_route_tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -259,20 +256,6 @@ class BaseTopology:
         self._route_cache[key] = result
         return result
 
-    def route_array(self, src: NodeId, dst: NodeId) -> np.ndarray:
-        """The route as a cached int index array (hot-path accounting).
-
-        Deterministic routes are simple paths that never revisit a
-        link, so the array can be used for fancy-index accumulation
-        (``volumes[arr] += v``) directly.
-        """
-        key = (src, dst)
-        cached = self._route_array_cache.get(key)
-        if cached is None:
-            cached = np.asarray(self.route(src, dst), dtype=np.intp)
-            self._route_array_cache[key] = cached
-        return cached
-
     def _build_route_table(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """``(padded[len(pairs), max_hops], lens)`` for node pairs.
 
@@ -280,7 +263,7 @@ class BaseTopology:
         route, right-padded with ``-1``.  Traffic analysis uses the
         tables to scatter-add many flows in one vector operation.
         """
-        routes = [self.route_array(s, d) for s, d in pairs]
+        routes = [self.route(s, d) for s, d in pairs]
         lens = np.array([len(r) for r in routes], dtype=np.intp)
         width = int(lens.max()) if len(lens) else 0
         table = np.full((len(routes), width), -1, dtype=np.intp)
@@ -322,6 +305,3 @@ class BaseTopology:
                 ])
                 self._dram_route_tables = (*to_dram, *from_dram)
         return self._dram_route_tables
-
-    def hop_count(self, src: NodeId, dst: NodeId) -> int:
-        return len(self.route(src, dst))

@@ -30,14 +30,6 @@ class TrafficMap:
     # Accumulation
     # ------------------------------------------------------------------
 
-    def add_flow(self, src, dst, volume: float) -> None:
-        """Add a unicast transfer of ``volume`` bytes from src to dst."""
-        if volume <= 0:
-            return
-        route = self.topo.route_array(src, dst)
-        if len(route):
-            self.volumes[route] += volume
-
     def add_on_links(self, link_indices, volume: float) -> None:
         """Add ``volume`` bytes on an explicit link set (multicast tree)."""
         if volume <= 0 or len(link_indices) == 0:

@@ -1,15 +1,13 @@
 """Observability: span tracing, run ledger, metrics export, reports.
 
-The package layers on :mod:`repro.perf` — the tracer ships worker spans
-through the same ``PERF.snapshot()``/``PERF.merge()`` round trip the
-counters already make — and stays importable from every layer above
-``repro.perf`` (``repro.io`` is imported lazily, like
+The package layers on :mod:`repro.perf` — pool workers hand their spans
+back beside their ``PERF`` snapshot, through the one dispatcher
+(:func:`repro.dse.pool.run_tasks`) — and stays importable from every
+layer above ``repro.perf`` (``repro.io`` is imported lazily, like
 :mod:`repro.perf.bench`).
 """
 
 from repro.obs.diag import (
-    DIAG,
-    DiagAggregator,
     SARunDiag,
     StreamingMoments,
     render_sa_diag,
@@ -34,8 +32,6 @@ from repro.obs.report import (
 from repro.obs.trace import TRACER, Tracer, trace
 
 __all__ = [
-    "DIAG",
-    "DiagAggregator",
     "LEDGER_NAME",
     "PROFILE_HEADERS",
     "RunLedger",

@@ -21,11 +21,11 @@ Design constraints mirror :mod:`repro.obs.trace`:
   instead of a recorder; the dormant cost is a ``None`` check per
   iteration.  Diagnostics never change what gets computed, so
   :func:`repro.campaign.keys.settings_digest` excludes the flag.
-* **One channel for workers.**  The process-global :data:`DIAG`
-  aggregator registers on the ``PERF.snapshot()`` extras channel;
-  per-pid operator stats ride the same round trip pool workers
-  already make, and the campaign ledger's final ``perf`` event
-  carries the per-pid table for store-only reporting.
+* **One owner per record.**  Each run's record lands in
+  :attr:`SAStats.diag <repro.core.sa.SAStats.diag>`, and a campaign
+  stores every restart's record with its candidate (``sa_diag``); the
+  store-only campaign view folds a run's per-shard operator tables
+  from there (:func:`merge_op_stats`).
 * **Bounded memory.**  Curves are downsampled, distributions are
   three floats, temperatures are <= ~33 checkpoints.
 """
@@ -33,9 +33,6 @@ Design constraints mirror :mod:`repro.obs.trace`:
 from __future__ import annotations
 
 import math
-import os
-
-from repro.perf.counters import register_snapshot_extra
 
 #: Curve buffer bound: on reaching this many points, every other point
 #: is dropped and the sampling stride doubles.
@@ -224,11 +221,11 @@ class SARunDiag:
 
 
 # ----------------------------------------------------------------------
-# The per-pid aggregator on the PERF snapshot channel
+# Operator-table merge
 # ----------------------------------------------------------------------
 
 
-def _merge_op_stats(into: dict, ops: dict) -> None:
+def merge_op_stats(into: dict, ops: dict) -> None:
     """Fold one run's serialized operator table into ``into``."""
     for name, rec in ops.items():
         slot = into.get(name)
@@ -242,51 +239,6 @@ def _merge_op_stats(into: dict, ops: dict) -> None:
         moments = StreamingMoments.from_dict(slot["delta"])
         moments.merge(StreamingMoments.from_dict(rec.get("delta", {})))
         slot["delta"] = moments.to_dict()
-
-
-class DiagAggregator:
-    """Per-pid operator-effectiveness totals, shipped like spans.
-
-    Keys are stringified pids (JSON round-trips dict keys as strings);
-    a worker's snapshot merges into the parent under the *worker's*
-    pid, so a 2-worker campaign's ledger perf event shows two rows per
-    operator — the acceptance signal that sharding actually spread.
-    """
-
-    def __init__(self):
-        self.by_pid: dict[str, dict] = {}
-
-    def record(self, ops: dict) -> None:
-        """Fold one finished run's operator table into this pid's slot."""
-        _merge_op_stats(self.by_pid.setdefault(str(os.getpid()), {}), ops)
-
-    def snapshot(self) -> dict:
-        """JSON-ready copy (does not clear)."""
-        return {
-            pid: {
-                name: {**rec, "delta": dict(rec["delta"])}
-                for name, rec in ops.items()
-            }
-            for pid, ops in self.by_pid.items()
-        }
-
-    def merge(self, payload: dict) -> None:
-        for pid, ops in payload.items():
-            _merge_op_stats(self.by_pid.setdefault(str(pid), {}), ops)
-
-    def clear(self) -> None:
-        self.by_pid = {}
-
-
-#: The process-global aggregator every diag-enabled SA run folds into.
-DIAG = DiagAggregator()
-
-register_snapshot_extra(
-    "diag",
-    collect=lambda: DIAG.snapshot() or None,
-    merge=DIAG.merge,
-    reset=DIAG.clear,
-)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +271,7 @@ def merged_operator_table(by_pid: dict) -> dict:
     """One operator table pooled over every pid's slot."""
     merged: dict[str, dict] = {}
     for ops in by_pid.values():
-        _merge_op_stats(merged, ops)
+        merge_op_stats(merged, ops)
     return merged
 
 
@@ -359,7 +311,7 @@ def render_sa_diag(restart_diags: list[dict]) -> str:
     ))
     merged: dict[str, dict] = {}
     for diag in restart_diags:
-        _merge_op_stats(merged, diag.get("operators", {}))
+        merge_op_stats(merged, diag.get("operators", {}))
     if merged:
         lines.append("")
         lines.append(format_table(OPERATOR_HEADERS, operator_rows(merged)))

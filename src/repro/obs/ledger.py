@@ -3,13 +3,15 @@
 Every campaign run appends one line per notable event — run started or
 resumed, candidate evaluated (with duration and the mean/variance of
 its per-restart SA wall times), candidate failed (with a traceback
-digest), run interrupted/finished, final perf snapshot — into
+digest), run interrupted/finished, and a closing ``perf`` event with
+the counters and timers that run added — into
 ``<home>/<name>/ledger.jsonl`` (:func:`ledger_path`).  The store-only
 campaign view (:mod:`repro.campaign.view`, behind ``repro campaign
 watch`` and ``report``) reads it without loading models, grids or
-evaluators; shard health, throughput, caches and operator tables come
-from the latest run's events, from its last ``run_started`` or
-``run_resumed`` on.
+evaluators; shard health, throughput, caches and operator tables cover
+the latest run, from its last ``run_started`` or ``run_resumed`` on
+(the operator tables are those the store holds for the candidates the
+run checkpointed).
 
 Durability follows the :class:`~repro.campaign.store.ResultStore`
 conventions: a single writer appends flushed whole lines, and the

@@ -58,7 +58,7 @@ def prometheus_text(snap: dict, prefix: str = "repro_") -> str:
 
 
 def metrics_json(snap: dict) -> str:
-    """Counters + timers as deterministic JSON (spans stripped)."""
+    """Counters + timers as deterministic JSON (the pid dropped)."""
     return json.dumps(
         {
             "counters": snap.get("counters", {}),

@@ -12,11 +12,11 @@ Design constraints, in order:
   touching the clock.  Call sites are coarse (per run / per candidate,
   never per SA iteration), so even the enabled overhead is a handful
   of spans per seconds-long phase.
-* **One channel for workers.**  The tracer registers itself on the
-  :func:`repro.perf.counters.register_snapshot_extra` channel: the
-  span buffer rides inside ``PERF.snapshot()`` and is folded back by
-  ``PERF.merge()`` — exactly the round trip pool workers already make,
-  so spans from every pid land in the parent with no extra IPC.
+* **One hand-off for workers.**  A pool worker clears the tracer
+  before each task and returns :meth:`Tracer.snapshot` beside its
+  ``PERF`` snapshot; the dispatcher (:func:`repro.dse.pool.run_tasks`)
+  folds both into the parent, so spans from every pid land there in
+  the task's own result, with no extra IPC.
 * **Bounded memory.**  The buffer holds at most ``max_spans`` records;
   overflow drops the newest span and counts ``obs.trace.dropped``.
 
@@ -32,7 +32,7 @@ import os
 import threading
 import time
 
-from repro.perf.counters import PERF, register_snapshot_extra
+from repro.perf.counters import PERF
 
 
 class _NullSpan:
@@ -139,25 +139,26 @@ class Tracer:
         Resetting the stacks matters across ``fork``: a pool worker
         inherits whatever spans the parent had open at fork time, and
         without a reset every span the worker records would hang off a
-        phantom parent that only exists in the parent process.  The
-        per-task ``PERF.reset()`` in the worker routes through here.
+        phantom parent that only exists in the parent process.  Pool
+        workers call this before every task.
         """
         self.spans = []
         self.dropped = 0
         self._local = threading.local()
 
-    # -- worker channel ------------------------------------------------
+    # -- worker hand-off -----------------------------------------------
 
     def snapshot(self) -> list[dict]:
         """The recorded spans, JSON-ready (does not clear the buffer).
 
-        Workers call this implicitly through ``PERF.snapshot()``; each
-        task resets first, so successive snapshots ship deltas.
+        A pool worker returns this with each task's outcome; it clears
+        the buffer before the task, so each hand-off ships that task's
+        spans only.
         """
         return list(self.spans)
 
     def merge(self, spans: list[dict]) -> None:
-        """Fold shipped spans (e.g. a worker snapshot) into the buffer.
+        """Fold shipped spans (e.g. a worker's hand-off) into the buffer.
 
         Pid/tid attribution is preserved — merged spans keep their own
         process row in the rendered trace.
@@ -218,13 +219,6 @@ class Tracer:
 
 #: The process-global tracer every instrumented subsystem reports into.
 TRACER = Tracer()
-
-register_snapshot_extra(
-    "spans",
-    collect=lambda: TRACER.snapshot() or None,
-    merge=TRACER.merge,
-    reset=TRACER.clear,
-)
 
 
 def trace(name: str, /, **attrs):

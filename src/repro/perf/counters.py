@@ -8,7 +8,10 @@ counter is one dict lookup and an add.
 
 Workers of a parallel DSE run each own their process-local registry;
 snapshots from workers can be merged into the parent with
-:meth:`PerfRegistry.merge`.
+:meth:`PerfRegistry.merge`.  A snapshot is exactly ``{"counters",
+"timers", "pid"}``: spans travel beside it (:mod:`repro.obs.trace`),
+and a campaign run logs the end snapshot minus the one it took at its
+start (:class:`repro.campaign.runner.CampaignRunner`).
 """
 
 from __future__ import annotations
@@ -23,21 +26,6 @@ from weakref import WeakSet
 #: snapshots and :meth:`PerfRegistry.cache_stats` on demand, so the
 #: hot-path cost of instrumentation is two integer adds.
 _NAMED_LRUS: "WeakSet[LruDict]" = WeakSet()
-
-#: Pluggable snapshot sections: ``key -> (collect, merge, reset)``.
-#: Other subsystems (the span tracer in :mod:`repro.obs.trace`) ship
-#: their process-local state through the same snapshot/merge channel
-#: the counters use, so worker processes need exactly one round trip.
-#: ``collect()`` returns a JSON-friendly payload (falsy = omit the
-#: key), ``merge(payload)`` folds a shipped payload into this process,
-#: ``reset()`` clears the local state alongside :meth:`PerfRegistry.reset`.
-_SNAPSHOT_EXTRAS: dict[str, tuple] = {}
-
-
-def register_snapshot_extra(key: str, collect, merge, reset) -> None:
-    """Register a named extra section on the snapshot/merge channel."""
-    _SNAPSHOT_EXTRAS[key] = (collect, merge, reset)
-
 
 class LruDict(OrderedDict):
     """A bounded dict evicting least-recently-used entries.
@@ -129,6 +117,20 @@ def cache_table(stats: dict[str, dict]) -> str:
     )
 
 
+def snapshot_delta(start: dict, end: dict) -> dict:
+    """The ``counters`` and ``timers`` added between two snapshots,
+    over every counter and timer of the ``end`` one."""
+    before = start.get("counters", {})
+    counters = {name: value - before.get(name, 0)
+                for name, value in end.get("counters", {}).items()}
+    timers = {}
+    for label, rec in end.get("timers", {}).items():
+        was = start.get("timers", {}).get(label, {})
+        timers[label] = {"seconds": rec["seconds"] - was.get("seconds", 0.0),
+                         "calls": rec["calls"] - was.get("calls", 0)}
+    return {"counters": counters, "timers": timers}
+
+
 class PerfRegistry:
     """Named counters plus labelled wall-clock timers."""
 
@@ -214,10 +216,6 @@ class PerfRegistry:
                 "seconds": secs,
                 "calls": self._timer_calls.get(label, 0),
             }
-        for key, (collect, _merge, _reset) in _SNAPSHOT_EXTRAS.items():
-            payload = collect()
-            if payload:
-                out[key] = payload
         return out
 
     def merge(self, snap: dict) -> None:
@@ -229,10 +227,6 @@ class PerfRegistry:
             self._timer_calls[label] = (
                 self._timer_calls.get(label, 0) + rec["calls"]
             )
-        for key, (_collect, merge_fn, _reset) in _SNAPSHOT_EXTRAS.items():
-            payload = snap.get(key)
-            if payload:
-                merge_fn(payload)
 
     def reset(self) -> None:
         self._counters.clear()
@@ -244,8 +238,6 @@ class PerfRegistry:
         for d in _NAMED_LRUS:
             d.hits = 0
             d.misses = 0
-        for _collect, _merge, reset_fn in _SNAPSHOT_EXTRAS.values():
-            reset_fn()
 
     def rows(self) -> list[list]:
         """(kind, name, value) rows for tabular display."""

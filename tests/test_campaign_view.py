@@ -5,6 +5,7 @@ both throughput rates are per-campaign, and viewing writes nothing."""
 import json
 import re
 import shutil
+import time
 
 import pytest
 
@@ -19,8 +20,8 @@ from repro.campaign.view import campaign_view, render_report, render_watch
 from repro.cli.main import build_parser, main
 from repro.core.sa import SASettings
 from repro.dse import DseGrid, Workload, enumerate_candidates
+from repro.dse.pool import _MAX_WAIT_S
 from repro.obs.ledger import ledger_path, read_ledger
-from repro.perf import PERF
 from repro.testing import parse_chaos
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer, LayerType
@@ -70,16 +71,13 @@ def homes(tmp_path_factory):
     interrupted after 3 candidates; the last candidate quarantined as
     poison; and that poison campaign after ``--retry-quarantined``."""
     root = tmp_path_factory.mktemp("views")
-    PERF.reset()
     with pytest.raises(CampaignInterrupted):
         with CampaignRunner(make_spec(), root / "interrupted") as runner:
             runner.run(workers=1, fail_after=3)
-    PERF.reset()
     with CampaignRunner(make_spec(), root / "poison") as runner:
         runner.run(workers=2, policy=RetryPolicy(max_attempts=2),
                    chaos=parse_chaos(f"crash:{N - 1}:9"))
     shutil.copytree(root / "poison", root / "retried")
-    PERF.reset()
     with CampaignRunner(make_spec(), root / "retried") as runner:
         runner.run(workers=1, retry_quarantined=True)
     return root
@@ -129,7 +127,6 @@ class TestThroughput:
         home = tmp_path / "camp"
         shutil.copytree(homes / "interrupted", home)
         if resume:
-            PERF.reset()
             with CampaignRunner(make_spec(), home) as runner:
                 runner.run(workers=1)
         drop_latest_run_end(home)
@@ -146,7 +143,6 @@ class TestThroughput:
         assert json.loads(json.dumps(doc))["sa_iters_per_sec"] is None
 
     def test_both_rates_are_summed_over_shards(self, tmp_path):
-        PERF.reset()
         with CampaignRunner(make_spec(), tmp_path) as runner:
             runner.run(workers=2)
         doc = campaign_view(tmp_path, "camp")
@@ -158,6 +154,42 @@ class TestThroughput:
             ITERS * doc["cands_per_sec"]
         )
 
+    def test_a_same_process_resume_counts_its_own_work(self, tmp_path):
+        """The resume's perf event, SA rate and operator tables cover
+        what the resume did, not the interrupted run before it in the
+        same process."""
+        spec = make_spec()
+        spec.sa = SASettings(iterations=ITERS, seed=11, diag=True)
+        with pytest.raises(CampaignInterrupted):
+            with CampaignRunner(spec, tmp_path) as runner:
+                runner.run(workers=1, fail_after=3)
+        with CampaignRunner(spec, tmp_path) as runner:
+            report = runner.run(workers=1)
+        assert report.evaluated == N - 3
+
+        events, _ = read_ledger(ledger_path(tmp_path, "camp"))
+        perf = events[-1]
+        assert perf["event"] == "perf"
+        # One workload, one restart per candidate.
+        assert perf["counters"]["sa.iterations"] == report.evaluated * ITERS
+        assert all(v >= 0 for v in perf["counters"].values())
+        assert all(t["calls"] >= 0 for t in perf["timers"].values())
+
+        doc = campaign_view(tmp_path, "camp")
+        assert doc["sa_iters_per_sec"] / doc["cands_per_sec"] == \
+            pytest.approx(ITERS)
+        start = max(i for i, ev in enumerate(events)
+                    if ev["event"] == "run_resumed")
+        resumed = [ev["index"] for ev in events[start:]
+                   if ev["event"] == "candidate_evaluated"]
+        assert len(resumed) == report.evaluated
+        draws = sum(n for i in resumed
+                    for uses in report.results[i].operator_uses.values()
+                    for n in uses.values())
+        assert draws == report.evaluated * ITERS
+        assert sum(op["uses"] for ops in doc["diag_by_pid"].values()
+                   for op in ops.values()) == draws
+
 
 @pytest.mark.parametrize("interval", ["-1", "0", "nan", "inf"])
 def test_watch_rejects_a_bad_interval_at_parse_time(interval, capsys):
@@ -167,6 +199,23 @@ def test_watch_rejects_a_bad_interval_at_parse_time(interval, capsys):
         ])
     assert exc.value.code == 2
     assert "--interval" in capsys.readouterr().err
+
+
+def test_watch_sleeps_a_huge_interval_in_pieces(homes, monkeypatch, capsys):
+    """A finite interval past what one ``time.sleep`` takes is slept in
+    pieces the platform accepts, not raised as ``OverflowError``."""
+    slept = []
+
+    def fake_sleep(seconds):
+        slept.append(seconds)
+        if len(slept) == 3:
+            raise KeyboardInterrupt  # how a watch is stopped
+
+    monkeypatch.setattr(time, "sleep", fake_sleep)
+    assert main(["campaign", "watch", "--name", "camp", "--out",
+                 str(homes / "poison"), "--interval", "1e10"]) == 0
+    assert len(slept) == 3
+    assert max(slept) <= _MAX_WAIT_S
 
 
 @pytest.mark.parametrize("case", ["interrupted", "poison", "retried"])

@@ -192,6 +192,14 @@ class TestRetryPolicy:
         assert 0.09 <= d2 <= 0.11          # 0.1 * (1 +/- 0.1)
         assert 0.36 <= d4 <= 0.44          # 0.4 * (1 +/- 0.1)
 
+    def test_delay_saturates_past_the_float_range(self):
+        # 0.1 * 2**1098 overflows; the delay must stay a finite float
+        # no shorter than an earlier attempt's, not raise.
+        policy = RetryPolicy(max_attempts=2000, backoff_s=0.1)
+        late = policy.delay_s("x", 1100)
+        assert math.isfinite(late)
+        assert late >= policy.delay_s("x", 1000) > 1e299
+
     def test_first_attempt_and_zero_backoff_have_no_delay(self):
         assert RetryPolicy(backoff_s=0.1).delay_s("k", 1) == 0.0
         assert RetryPolicy(backoff_s=0.0).delay_s("k", 5) == 0.0

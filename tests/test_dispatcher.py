@@ -158,7 +158,7 @@ class _FakePool:
         if isinstance(outcome, Exception):
             fut.set_exception(outcome)
         else:
-            fut.set_result((outcome, None))
+            fut.set_result((outcome, None, None))
         return fut
 
 

@@ -138,15 +138,44 @@ class TestPresetsAndCli:
         """`repro sweep --routing yx` must reach the scenarios."""
         import argparse
 
-        from repro.cli.main import sweep_fabrics
+        from repro.cli.main import fabric_axis
+        from repro.fabric import format_fabric
 
-        ns = argparse.Namespace(fabric=["mesh", "folded-torus"],
-                                routing="yx")
-        assert sweep_fabrics(ns) == ["mesh:yx", "folded-torus:yx"]
-        ns = argparse.Namespace(fabric=None, routing="yx")
-        assert sweep_fabrics(ns) == ["mesh:yx"]
-        ns = argparse.Namespace(fabric=None, routing=None)
-        assert sweep_fabrics(ns) is None
+        def sweep_fabrics(**flags):
+            specs = fabric_axis(argparse.Namespace(**flags))
+            return None if specs is None else [format_fabric(s)
+                                               for s in specs]
+
+        assert sweep_fabrics(fabric=["mesh", "folded-torus"],
+                             routing="yx") == ["mesh:yx", "folded-torus:yx"]
+        assert sweep_fabrics(fabric=None, routing="yx") == ["mesh:yx"]
+        assert sweep_fabrics(fabric=None, routing=None) is None
+
+    # A two-candidate slice of the quick grid at a minimal budget.
+    GRID = ["--models", "MBV2", "--batch", "1", "--iters", "2",
+            "--max-candidates", "2", "--routing", "yx"]
+
+    def test_dse_routing_flag_alone_reaches_the_best_arch(self, tmp_path):
+        import json
+
+        from repro.cli import main
+
+        assert main(["dse", *self.GRID, "--out", str(tmp_path)]) == 0
+        best = json.loads((tmp_path / "best_arch.json").read_text())
+        assert best["fabric"]["kind"] == "mesh"
+        assert best["fabric"]["routing"] == "yx"
+
+    def test_campaign_routing_flag_alone_reaches_the_manifest(
+        self, tmp_path
+    ):
+        from repro.campaign.runner import load_manifest
+        from repro.cli import main
+
+        assert main(["campaign", "run", "--name", "yx", *self.GRID,
+                     "--out", str(tmp_path)]) == 0
+        archs = load_manifest(tmp_path, "yx")["archs"]
+        assert len(archs) == 2
+        assert all(a["fabric"]["routing"] == "yx" for a in archs)
 
 
 class TestRegistry:

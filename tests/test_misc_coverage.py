@@ -55,14 +55,14 @@ class TestHeatmapCorners:
     def test_io_flag_propagates(self):
         topo = MeshTopology(arch())
         tm = TrafficMap(topo)
-        tm.add_flow(topo.dram_node(0), ("core", 0, 0), 10.0)
+        tm.add_on_links(topo.route(topo.dram_node(0), ("core", 0, 0)), 10.0)
         records = link_heat(tm)
         assert any(r.is_io for r in records)
 
     def test_no_double_d2d_display_when_disabled(self):
         topo = MeshTopology(arch())
         tm = TrafficMap(topo)
-        tm.add_flow(("core", 1, 0), ("core", 2, 0), 10.0)
+        tm.add_on_links(topo.route(("core", 1, 0), ("core", 2, 0)), 10.0)
         [rec] = [r for r in link_heat(tm, double_d2d=False) if r.is_d2d]
         assert rec.display_volume == rec.volume
 

@@ -21,7 +21,7 @@ class TestTrafficMap:
     def test_flow_adds_on_every_route_link(self, topo):
         tm = TrafficMap(topo)
         src, dst = ("core", 0, 0), ("core", 3, 3)
-        tm.add_flow(src, dst, 100.0)
+        tm.add_on_links(topo.route(src, dst), 100.0)
         route = topo.route(src, dst)
         for idx in route:
             assert tm.volumes[idx] == 100.0
@@ -29,32 +29,32 @@ class TestTrafficMap:
 
     def test_zero_volume_ignored(self, topo):
         tm = TrafficMap(topo)
-        tm.add_flow(("core", 0, 0), ("core", 1, 0), 0.0)
+        tm.add_on_links(topo.route(("core", 0, 0), ("core", 1, 0)), 0.0)
         assert tm.total_byte_hops() == 0.0
 
     def test_serialization_time_uses_link_bandwidth(self, topo):
         tm = TrafficMap(topo)
         # Cross the D2D boundary: D2D bandwidth is half, so the D2D link
         # dominates the serialization time.
-        tm.add_flow(("core", 1, 0), ("core", 2, 0), 32 * GB)
+        tm.add_on_links(topo.route(("core", 1, 0), ("core", 2, 0)), 32 * GB)
         assert tm.serialization_time() == pytest.approx(2.0)
 
     def test_d2d_volume_counts_once_per_crossing(self, topo):
         tm = TrafficMap(topo)
-        tm.add_flow(("core", 0, 0), ("core", 3, 0), 10.0)
+        tm.add_on_links(topo.route(("core", 0, 0), ("core", 3, 0)), 10.0)
         assert tm.d2d_volume() == 10.0  # one boundary crossing
 
     def test_merge_and_scale(self, topo):
         a, b = TrafficMap(topo), TrafficMap(topo)
-        a.add_flow(("core", 0, 0), ("core", 1, 0), 5.0)
-        b.add_flow(("core", 0, 0), ("core", 1, 0), 7.0)
+        a.add_on_links(topo.route(("core", 0, 0), ("core", 1, 0)), 5.0)
+        b.add_on_links(topo.route(("core", 0, 0), ("core", 1, 0)), 7.0)
         a.merge(b)
         assert a.total_byte_hops() == 12.0
         assert a.scaled(2.0).total_byte_hops() == 24.0
 
     def test_dram_flow_touches_io_link(self, topo):
         tm = TrafficMap(topo)
-        tm.add_flow(topo.dram_node(0), ("core", 2, 2), 50.0)
+        tm.add_on_links(topo.route(topo.dram_node(0), ("core", 2, 2)), 50.0)
         assert tm.io_volume() == 50.0
 
 

@@ -25,7 +25,6 @@ from repro.io.serialization import (
     candidate_result_to_dict,
 )
 from repro.obs.diag import (
-    DIAG,
     SARunDiag,
     StreamingMoments,
     curve_summary,
@@ -218,29 +217,6 @@ class TestControllerRecording:
         assert a.stats.diag == b.stats.diag
 
 
-class TestAggregatorChannel:
-    def test_runs_fold_into_this_pid_and_ship_in_snapshots(self):
-        PERF.reset()
-        run_sa(small_candidates()[0],
-               SASettings(iterations=8, seed=1, diag=True))
-        snap = PERF.snapshot()
-        by_pid = snap["diag"]
-        assert list(by_pid) == [str(os.getpid())]
-        ops = by_pid[str(os.getpid())]
-        assert ops and all("delta" in rec for rec in ops.values())
-        # Merging a foreign worker's payload lands under the worker pid.
-        PERF.merge({"counters": {}, "timers": {},
-                    "diag": {"99999": ops}})
-        assert set(PERF.snapshot()["diag"]) == {str(os.getpid()), "99999"}
-        PERF.reset()
-        assert "diag" not in PERF.snapshot()
-
-    def test_diag_off_ships_nothing(self):
-        PERF.reset()
-        run_sa(small_candidates()[0], SASettings(iterations=8, seed=1))
-        assert "diag" not in PERF.snapshot()
-
-
 class TestDigestStability:
     def test_diag_flag_never_changes_store_keys(self):
         assert settings_digest(SASettings(diag=True)) == \
@@ -310,7 +286,6 @@ def diag_campaign(tmp_path):
     """A finished 2-candidate campaign run with diagnostics on."""
     home = tmp_path / "campaigns"
     PERF.reset()
-    DIAG.clear()
     spec = CampaignSpec(
         name="diagcamp",
         candidates=small_candidates()[:2],
@@ -343,14 +318,6 @@ class TestCampaignReport:
         assert "search report" in text
         assert "convergence" in text
         assert "pooled over shards" in text
-
-    def test_ledger_perf_event_carries_diag(self, diag_campaign):
-        from repro.obs.ledger import ledger_path, read_ledger
-
-        events, _ = read_ledger(ledger_path(diag_campaign, "diagcamp"))
-        perf = events[-1]
-        assert perf["event"] == "perf"
-        assert str(os.getpid()) in perf["diag"]
 
     def test_cli_report_text_and_json(self, diag_campaign, capsys):
         rc = main(["campaign", "report", "--name", "diagcamp",

@@ -101,28 +101,25 @@ class TestSpans:
 
 
 class TestSnapshotChannel:
-    def test_spans_ride_perf_snapshot_and_merge_preserves_pid(self, tracer):
+    def test_tracer_merge_preserves_the_worker_pid(self, tracer):
         with trace("work", unit=1):
             pass
+        # Spans travel beside the PERF snapshot, never inside it.
         snap = PERF.snapshot()
+        assert set(snap) == {"counters", "timers", "pid"}
         assert snap["pid"] == os.getpid()
-        assert [s["name"] for s in snap["spans"]] == ["work"]
+        spans = tracer.snapshot()
+        assert [s["name"] for s in spans] == ["work"]
+        assert spans[0]["pid"] == os.getpid()
 
-        # A fake worker snapshot: same span, foreign pid.  merge() must
+        # A fake worker hand-off: same span, foreign pid.  merge() must
         # keep the worker's attribution, not re-stamp the parent's.
-        worker_span = dict(snap["spans"][0], pid=424242)
+        worker_span = dict(spans[0], pid=424242)
         tracer.clear()
-        PERF.merge({"counters": {}, "timers": {}, "spans": [worker_span]})
+        TRACER.merge([worker_span])
         assert len(tracer.spans) == 1
         assert tracer.spans[0]["pid"] == 424242
         assert tracer.spans[0]["attrs"] == {"unit": 1}
-
-    def test_perf_reset_clears_the_span_buffer(self, tracer):
-        with trace("gone"):
-            pass
-        assert tracer.spans
-        PERF.reset()
-        assert tracer.spans == []
 
     def test_disabled_tracer_ships_no_spans_key(self):
         assert not TRACER.enabled
@@ -195,3 +192,17 @@ class TestParallelTracing:
             assert runs
             for r in runs:
                 assert spans[r["args"]["parent"]]["name"] == "sa.restart"
+
+    def test_pool_workers_ship_each_span_once(self, tracer):
+        """Two explores on one persistent pool: a worker clears its
+        spans before every task, so each candidate span arrives once."""
+        candidates = small_candidates()
+        with DesignSpaceExplorer(
+            [Workload(tiny_graph(), batch=2)],
+            sa_settings=SASettings(iterations=4, seed=11),
+        ) as explorer:
+            explorer.explore(candidates, workers=2)
+            explorer.explore(candidates, workers=2)
+        spans = [s for s in tracer.spans if s["name"] == "candidate"]
+        assert len(spans) == 2 * len(candidates)
+        assert len({s["pid"] for s in spans}) >= 2

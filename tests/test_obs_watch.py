@@ -20,7 +20,6 @@ from repro.io.serialization import (
     candidate_result_to_dict,
 )
 from repro.obs.ledger import ledger_path, read_ledger
-from repro.perf import PERF
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer, LayerType
 
@@ -65,7 +64,6 @@ def interrupted_campaign(tmp_path):
     """A campaign killed after 3 of 4 candidates (the acceptance
     scenario: watch must work store-only on an interrupted run)."""
     home = tmp_path / "campaigns"
-    PERF.reset()  # the run's final perf event must count this run only
     with pytest.raises(CampaignInterrupted):
         with CampaignRunner(make_spec(), home) as runner:
             runner.run(workers=1, fail_after=3)

@@ -44,8 +44,8 @@ class TestHeatmap:
     def test_link_heat_sorted_desc(self):
         topo = self.topo()
         tm = TrafficMap(topo)
-        tm.add_flow(("core", 0, 0), ("core", 3, 0), 100.0)
-        tm.add_flow(("core", 0, 1), ("core", 1, 1), 10.0)
+        tm.add_on_links(topo.route(("core", 0, 0), ("core", 3, 0)), 100.0)
+        tm.add_on_links(topo.route(("core", 0, 1), ("core", 1, 1)), 10.0)
         records = link_heat(tm)
         vols = [r.display_volume for r in records]
         assert vols == sorted(vols, reverse=True)
@@ -53,7 +53,8 @@ class TestHeatmap:
     def test_d2d_volume_doubled_for_display(self):
         topo = self.topo()
         tm = TrafficMap(topo)
-        tm.add_flow(("core", 1, 0), ("core", 2, 0), 50.0)  # crosses the cut
+        # The flow crosses the cut.
+        tm.add_on_links(topo.route(("core", 1, 0), ("core", 2, 0)), 50.0)
         [record] = [r for r in link_heat(tm) if r.is_d2d]
         assert record.volume == 50.0
         assert record.display_volume == 100.0
@@ -61,7 +62,7 @@ class TestHeatmap:
     def test_summary_keys(self):
         topo = self.topo()
         tm = TrafficMap(topo)
-        tm.add_flow(("core", 0, 0), ("core", 3, 0), 100.0)
+        tm.add_on_links(topo.route(("core", 0, 0), ("core", 3, 0)), 100.0)
         summary = heat_summary(tm)
         assert summary["total_hop_bytes"] == 300.0
         assert summary["d2d_bytes"] == 100.0
@@ -69,7 +70,7 @@ class TestHeatmap:
     def test_ascii_render_has_mesh_shape(self):
         topo = self.topo()
         tm = TrafficMap(topo)
-        tm.add_flow(("core", 0, 0), ("core", 3, 0), 100.0)
+        tm.add_on_links(topo.route(("core", 0, 0), ("core", 3, 0)), 100.0)
         art = render_ascii(tm)
         assert art.count("o") == 8
         assert "[" in art  # D2D links bracketed
