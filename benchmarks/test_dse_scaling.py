@@ -7,6 +7,7 @@ accelerator scales and checks the expected growth with core count, plus
 the SA-iteration scaling of the mapping engine itself.
 """
 
+import statistics
 import time
 
 from conftest import print_banner, sa_settings
@@ -23,16 +24,20 @@ LARGE = DseGrid(
     d2d_ratio=(0.5,), glb_kb=(2048,), macs_per_core=(1024,),
 )  # 36-core candidates
 
+#: Timed explores per grid; a grid's number is their median.
+REPEATS = 5
 
-def time_grid(tf_model, grid, iters):
+
+def cpu_per_candidate(tf_model, candidates, iters):
+    """CPU seconds per candidate of one explore on a fresh explorer."""
     explorer = DesignSpaceExplorer(
         [Workload(tf_model, batch=16)],
         sa_settings=sa_settings(iters),
     )
-    candidates = enumerate_candidates(grid)
     # Untimed warm-up of the first candidate: the small grid can hold a
-    # single candidate, and charging it the one-time process costs
-    # (graph compile, parse caches) would drown the scaling signal.
+    # single candidate, and charging it the one-time costs (graph
+    # compile, parse caches, the core's first schedules) would drown
+    # the scaling signal.
     explorer.prepare()
     explorer.evaluate_candidate(candidates[0])
     # CPU time, not wall clock: the grids are sub-second each, and host
@@ -40,8 +45,23 @@ def time_grid(tf_model, grid, iters):
     # test_perf_regression computes its ratios from CPU time).
     t0 = time.process_time()
     report = explorer.explore(candidates)
-    cpu = time.process_time() - t0
-    return cpu / len(candidates), len(candidates), report
+    return (time.process_time() - t0) / len(candidates), report
+
+
+def time_grids(tf_model, grids, iters):
+    """``(cpu_s_per_candidate, n_candidates, report)`` per grid: the
+    median of ``REPEATS`` explores, alternating grids so host drift
+    hits both alike.  One explore of the small grid is one ~0.08 s
+    candidate, which a single sample cannot time steadily."""
+    candidates = [enumerate_candidates(grid) for grid in grids]
+    samples = [[] for _ in grids]
+    reports = [None] * len(grids)
+    for _ in range(REPEATS):
+        for i, cands in enumerate(candidates):
+            cpu, reports[i] = cpu_per_candidate(tf_model, cands, iters)
+            samples[i].append(cpu)
+    return [(statistics.median(s), len(c), r)
+            for s, c, r in zip(samples, candidates, reports)]
 
 
 def test_dse_scaling(tf_model, benchmark):
@@ -49,9 +69,7 @@ def test_dse_scaling(tf_model, benchmark):
         # Enough SA iterations that the per-candidate cost is search-
         # dominated (fixed per-candidate setup is similar across core
         # counts and would thin the margin into the noise floor).
-        small = time_grid(tf_model, SMALL, iters=120)
-        large = time_grid(tf_model, LARGE, iters=120)
-        return small, large
+        return time_grids(tf_model, (SMALL, LARGE), iters=120)
 
     (small, large) = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
@@ -63,7 +81,7 @@ def test_dse_scaling(tf_model, benchmark):
         ["grid", "candidates", "seconds/candidate"], rows, floatfmt=".2f"
     ))
     print(
-        f"\nscaling factor {large[0] / small[0]:.1f}x per candidate "
+        f"\nscaling factor {large[0] / small[0]:.2f}x per candidate "
         "(paper: 2280s -> 23907s total, 72 -> 512 TOPs)"
     )
     # Bigger accelerators cost more to evaluate per candidate.

@@ -4,9 +4,15 @@ from repro.arch.area import DEFAULT_AREA, AreaModel
 from repro.arch.energy import DEFAULT_ENERGY, EnergyModel
 from repro.arch.params import ArchConfig, arrange_cores, cores_for_tops
 from repro.arch.presets import g_arch, g_arch_120, s_arch, t_arch
-from repro.arch.topology import Link, MeshTopology, NodeId
-from repro.arch.torus import FoldedTorusTopology
-from repro.fabric import FabricSpec, Topology, build_topology
+from repro.fabric import (
+    FabricSpec,
+    FoldedTorusTopology,
+    Link,
+    MeshTopology,
+    NodeId,
+    Topology,
+    build_topology,
+)
 
 __all__ = [
     "ArchConfig",

@@ -70,6 +70,8 @@ from repro.io import (
     save_graph,
     save_mapping,
 )
+from repro.perf import PERF
+from repro.perf.counters import cache_table
 from repro.reporting import format_table, write_csv
 from repro.workloads.graph import DNNGraph
 from repro.workloads.models import MODEL_REGISTRY
@@ -210,13 +212,17 @@ def add_population_flags(p) -> None:
 
 
 def add_obs_flags(p) -> None:
-    """``--trace`` / ``--metrics`` on the long-running commands."""
+    """``--trace`` / ``--metrics`` / ``--profile`` on the long-running
+    commands; :func:`main` handles all three once, after the command."""
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record phase spans and write a Chrome-trace JSON "
                         "(open in chrome://tracing or ui.perfetto.dev)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write the final perf snapshot here (.prom/.txt = "
                         "Prometheus text exposition, anything else = JSON)")
+    p.add_argument("--profile", action="store_true",
+                   help="print the perf counters, timers and cache hit "
+                        "rates at the end of the run")
 
 
 def resolve_model(spec: str) -> DNNGraph:
@@ -246,27 +252,6 @@ def engine_for(arch: ArchConfig, iterations: int, seed: int = 0,
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-
-
-def profile_report(args, extra: dict | None = None) -> None:
-    """``--profile``: print the perf counters and write BENCH_perf.json."""
-    from repro.perf import PERF, emit_bench
-    from repro.perf.counters import cache_table
-
-    snap = PERF.snapshot()
-    rows = PERF.rows()
-    if rows:
-        print()
-        print(format_table(["kind", "name", "value"], rows))
-    caches = PERF.cache_stats()
-    if caches:
-        print()
-        print(cache_table(caches))
-    payload = dict(extra or {})
-    payload["perf"] = snap
-    payload["caches"] = caches
-    path = emit_bench(f"cli.{args.command}", payload)
-    print(f"wrote profile to {path}")
 
 
 def table1_candidates(tops: int, full: bool, fabrics: list | None = None) -> list:
@@ -323,12 +308,6 @@ def cmd_dse(args) -> int:
     print(format_table(headers, rows[:10]))
     print(f"\nbest architecture: {report.best.arch.paper_tuple()}")
     print(f"wrote {outdir / 'result.csv'} and {outdir / 'best_arch.json'}")
-    if args.profile:
-        profile_report(args, {
-            "candidates": len(candidates),
-            "workers": args.workers,
-            "wall_time_s": report.wall_time_s,
-        })
     return 0
 
 
@@ -346,14 +325,6 @@ def cmd_map(args) -> int:
     if args.save_mapping:
         save_mapping(result.lmss, args.save_mapping)
         print(f"wrote {args.save_mapping}")
-    if args.profile:
-        stats = result.sa_stats
-        extra = {"model": args.model, "batch": args.batch}
-        if stats is not None:
-            extra["sa_iters_per_sec"] = stats.iters_per_sec
-            extra["sa_wall_time_s"] = stats.wall_time_s
-            print(f"\nSA throughput: {stats.iters_per_sec:.0f} iterations/s")
-        profile_report(args, extra)
     return 0
 
 
@@ -517,15 +488,10 @@ def cmd_sweep(args) -> int:
         raise SystemExit(str(exc)) from exc
     print(format_table(list(SWEEP_COLUMNS), sweep_rows(summaries)))
     if args.resume:
-        from repro.perf import PERF
-
         print(f"\nevaluated {PERF.get('sweep.evaluated'):.0f}, served "
               f"{PERF.get('sweep.store_hits'):.0f} from {args.out}/store")
     print(f"\nwrote {Path(args.out) / 'sweep.csv'} and "
           f"{len(summaries)} scenario dir(s) under {args.out}/")
-    if args.profile:
-        profile_report(args, {"scenarios": len(summaries),
-                              "workers": args.workers})
     return 0
 
 
@@ -595,14 +561,6 @@ def cmd_campaign_run(args) -> int:
         headers = list(candidate_result_summary(done[0]).keys())
         print(format_table(headers, rows))
         print(f"\nbest architecture: {report.best.arch.paper_tuple()}")
-    if args.profile:
-        profile_report(args, {
-            "campaign": args.name,
-            "candidates": len(candidates),
-            "evaluated": report.evaluated,
-            "store_hits": report.store_hits,
-            "workers": args.workers,
-        })
     return 0
 
 
@@ -703,13 +661,6 @@ def cmd_sa_report(args) -> int:
           f"(delay {result.delay:.4g}s, energy {result.energy:.4g}J)")
     print()
     print(render_sa_diag(result.restart_diags))
-    if args.profile:
-        stats = result.sa_stats
-        extra = {"model": args.model, "batch": args.batch}
-        if stats is not None:
-            extra["sa_iters_per_sec"] = stats.iters_per_sec
-            extra["sa_wall_time_s"] = stats.wall_time_s
-        profile_report(args, extra)
     return 0
 
 
@@ -820,8 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "represented)")
     add_population_flags(p)
     add_fabric_flags(p, multiple=True)
-    p.add_argument("--profile", action="store_true",
-                   help="print perf counters and write BENCH_perf.json")
     add_obs_flags(p)
     p.set_defaults(func=cmd_dse)
 
@@ -835,9 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_population_flags(p)
     add_fabric_flags(p)
     p.add_argument("--save-mapping")
-    p.add_argument("--profile", action="store_true",
-                   help="print SA throughput / perf counters and write "
-                        "BENCH_perf.json")
     add_obs_flags(p)
     p.set_defaults(func=cmd_map)
 
@@ -884,8 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="checkpoint into <out>/store and skip scenarios "
                         "already evaluated there")
-    p.add_argument("--profile", action="store_true",
-                   help="print perf counters and write BENCH_perf.json")
     add_obs_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -944,22 +888,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record search diagnostics (convergence curves, "
                         "operator effectiveness) into the store and "
                         "ledger; view with 'repro campaign report'")
-    c.add_argument("--profile", action="store_true",
-                   help="print perf counters and write BENCH_perf.json")
     add_obs_flags(c)
-    c.set_defaults(func=cmd_campaign_run, command="campaign-run")
+    c.set_defaults(func=cmd_campaign_run)
 
     c = csub.add_parser("status", help="campaign progress + best-so-far")
     c.add_argument("--name", required=True)
     c.add_argument("--out", default="campaigns")
-    c.set_defaults(func=cmd_campaign_status, command="campaign-status")
+    c.set_defaults(func=cmd_campaign_status)
 
     c = csub.add_parser("export", help="Pareto front + full table")
     c.add_argument("--name", required=True)
     c.add_argument("--out", default="campaigns")
     c.add_argument("--dest", default=None,
                    help="destination directory (default <out>/<name>/export)")
-    c.set_defaults(func=cmd_campaign_export, command="campaign-export")
+    c.set_defaults(func=cmd_campaign_export)
 
     c = csub.add_parser(
         "watch",
@@ -975,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--json", action="store_true",
                    help="emit each frame as one JSON line (dashboards, "
                         "scripts) instead of the text report")
-    c.set_defaults(func=cmd_campaign_watch, command="campaign-watch")
+    c.set_defaults(func=cmd_campaign_watch)
 
     c = csub.add_parser(
         "report",
@@ -987,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default="campaigns")
     c.add_argument("--json", action="store_true",
                    help="emit the raw report data as JSON")
-    c.set_defaults(func=cmd_campaign_report, command="campaign-report")
+    c.set_defaults(func=cmd_campaign_report)
 
     p = sub.add_parser(
         "store",
@@ -1007,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--repair", action="store_true",
                    help="quarantine bad lines to a sidecar and rebuild "
                         "index.json atomically")
-    c.set_defaults(func=cmd_store_fsck, command="store-fsck")
+    c.set_defaults(func=cmd_store_fsck)
 
     p = sub.add_parser("heatmap", help="Fig 9 traffic heatmaps")
     p.add_argument("--model", default="TF",
@@ -1053,10 +995,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1,
                    help="independent SA restarts (best run wins)")
     add_fabric_flags(p)
-    p.add_argument("--profile", action="store_true",
-                   help="print perf counters and write BENCH_perf.json")
     add_obs_flags(p)
-    p.set_defaults(func=cmd_sa_report, command="sa-report")
+    p.set_defaults(func=cmd_sa_report)
 
     return parser
 
@@ -1064,8 +1004,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # Tracing turns on before dispatch so pool workers fork with it
-    # enabled; the trace/metrics files are written even when the
-    # command exits early (e.g. an interrupted campaign).
+    # enabled; the profile and the trace/metrics files come out even
+    # when the command exits early (e.g. an interrupted campaign).
     tracing = bool(getattr(args, "trace", None))
     if tracing:
         from repro.obs.trace import TRACER
@@ -1079,9 +1019,13 @@ def main(argv=None) -> int:
 
             TRACER.write_chrome_trace(args.trace)
             print(f"wrote trace to {args.trace}")
+        if getattr(args, "profile", False):
+            print()
+            print(format_table(["kind", "name", "value"], PERF.rows()))
+            print()
+            print(cache_table(PERF.cache_stats()))
         if getattr(args, "metrics", None):
             from repro.obs.metrics import write_metrics
-            from repro.perf import PERF
 
             write_metrics(args.metrics, PERF.snapshot())
             print(f"wrote metrics to {args.metrics}")

@@ -214,7 +214,9 @@ class SAController:
                 if diag is not None and diag.want(i):
                     diag.sample(i, sum(self.best_costs),
                                 walk.current_total(), walk.base_t)
-            self.stats.wall_time_s += time.perf_counter() - t0
+            elapsed = time.perf_counter() - t0
+            self.stats.wall_time_s += elapsed
+        PERF.add_time("sa.run", elapsed)
         self.stats.final_cost = sum(self.best_costs)
         if s.iterations:
             PERF.add("sa.iterations", s.iterations)

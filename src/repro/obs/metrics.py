@@ -1,15 +1,17 @@
 """Metrics export: ``PERF.snapshot()`` as Prometheus text or JSON.
 
+This is the one file a CLI run writes its counters to (``--metrics``
+on ``map``, ``dse``, ``sweep``, ``campaign run`` and ``sa-report``).
 The Prometheus exposition covers every counter (``repro_<name>``) and
 timer (``repro_<label>_seconds_total`` + ``_calls_total``), with metric
 names sanitized to the ``[a-zA-Z_][a-zA-Z0-9_]*`` charset.  Everything
 is exported as the ``counter`` type: the registry only ever
-accumulates, which is exactly Prometheus's counter contract — rates
-and hit ratios are derived server-side.
+accumulates (named caches count at the lookup, so a collected cache
+never takes its counts away), which is exactly Prometheus's counter
+contract — rates and hit ratios are derived server-side.
 
-The output is deterministic (sorted) so repeated scrapes of the same
-snapshot are byte-identical; the serve daemon (ROADMAP item 1) can
-mount :func:`prometheus_text` directly as its ``/metrics`` endpoint.
+The output is deterministic (sorted), so repeated exports of the same
+snapshot are byte-identical.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""BENCH_perf.json emission.
+"""BENCH_perf.json emission for the tier-1 performance benchmarks.
 
-One JSON file accumulates the measurements of the performance harness:
-SA-loop throughput (compiled vs. object evaluator), DSE worker scaling,
-and whatever counters the run collected.  Benchmarks and the CLI
-``--profile`` flag both write through :func:`emit_bench`, merging into
-any existing file so independent runs compose into one record.
+One JSON file accumulates the measurements of the benchmarks under
+``benchmarks/``: SA-loop throughput (compiled vs. object evaluator),
+DSE worker scaling, population and overhead guards.  Each writes its
+section through :func:`emit_bench`, merging into any existing file so
+independent runs compose into one record.  A CLI run writes no section
+here: its counters go to ``--metrics`` (:mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ integers/floats; timers accumulate wall-clock seconds per label.  The
 registry is cheap enough to leave enabled permanently: incrementing a
 counter is one dict lookup and an add.
 
+Counters only ever grow between resets, and named caches count at the
+lookup rather than from live objects at snapshot time, so a snapshot is
+a complete, monotone record: a cache that died with its candidate still
+counts.
+
 Workers of a parallel DSE run each own their process-local registry;
 snapshots from workers can be merged into the parent with
 :meth:`PerfRegistry.merge`.  A snapshot is exactly ``{"counters",
@@ -20,12 +25,7 @@ import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from weakref import WeakSet
 
-#: Live named LruDicts; their hit/miss tallies are folded into
-#: snapshots and :meth:`PerfRegistry.cache_stats` on demand, so the
-#: hot-path cost of instrumentation is two integer adds.
-_NAMED_LRUS: "WeakSet[LruDict]" = WeakSet()
 
 class LruDict(OrderedDict):
     """A bounded dict evicting least-recently-used entries.
@@ -34,10 +34,9 @@ class LruDict(OrderedDict):
     evaluations); recency is refreshed by :meth:`get_lru` and
     :meth:`put`, not by plain ``[]`` access.
 
-    Every dict tallies its own ``hits``/``misses``; a ``name``
-    additionally registers it so snapshots and ``--profile`` report the
-    tallies as ``lru.<name>.hits/.misses`` counters (summed over every
-    live cache sharing the name).
+    Every dict tallies its own ``hits``/``misses``; a named one also
+    adds each lookup to :data:`PERF` as ``lru.<name>.hits/.misses``, as
+    ``intracore`` and ``fabric.route`` do.
     """
 
     def __init__(self, max_entries: int = 65536, name: str | None = None):
@@ -46,20 +45,20 @@ class LruDict(OrderedDict):
         self.name = name
         self.hits = 0
         self.misses = 0
-        if name is not None:
-            _NAMED_LRUS.add(self)
-
-    # Identity hash (dict itself is unhashable) so instances can live
-    # in the registry WeakSet; value equality is never relied on.
-    __hash__ = object.__hash__
+        self._hits_key = f"lru.{name}.hits"
+        self._misses_key = f"lru.{name}.misses"
 
     def get_lru(self, key):
         value = self.get(key)
         if value is not None:
             self.move_to_end(key)
             self.hits += 1
+            if self.name is not None:
+                PERF.add(self._hits_key)
         else:
             self.misses += 1
+            if self.name is not None:
+                PERF.add(self._misses_key)
         return value
 
     def put(self, key, value) -> None:
@@ -67,17 +66,6 @@ class LruDict(OrderedDict):
         self.move_to_end(key)
         while len(self) > self.max_entries:
             self.popitem(last=False)
-
-
-def _named_lru_counters() -> dict[str, float]:
-    """``lru.<name>.hits/.misses`` totals over the live named caches."""
-    out: dict[str, float] = {}
-    for d in _NAMED_LRUS:
-        hits_key = f"lru.{d.name}.hits"
-        misses_key = f"lru.{d.name}.misses"
-        out[hits_key] = out.get(hits_key, 0) + d.hits
-        out[misses_key] = out.get(misses_key, 0) + d.misses
-    return out
 
 
 def cache_stats(counters: dict) -> dict[str, dict]:
@@ -144,9 +132,6 @@ class PerfRegistry:
     def add(self, name: str, value: float = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
 
-    def set(self, name: str, value: float) -> None:
-        self._counters[name] = value
-
     def get(self, name: str) -> float:
         return self._counters.get(name, 0)
 
@@ -189,28 +174,15 @@ class PerfRegistry:
         return hits / total if total else 0.0
 
     def cache_stats(self) -> dict[str, dict]:
-        """:func:`cache_stats` of the live registry.
-
-        Covers both the named :class:`LruDict` counters (``lru.*``,
-        live caches plus whatever worker snapshots merged in) and
-        hand-rolled pairs like ``intracore`` or ``fabric.route``.
-        """
-        counters = dict(self._counters)
-        for name, value in _named_lru_counters().items():
-            counters[name] = counters.get(name, 0) + value
-        return cache_stats(counters)
+        """:func:`cache_stats` of the live registry: the named
+        :class:`LruDict` pairs (``lru.*``) and hand-rolled ones like
+        ``intracore`` or ``fabric.route``."""
+        return cache_stats(self._counters)
 
     def snapshot(self) -> dict:
-        """A JSON-friendly copy of every counter and timer.
-
-        Live named-:class:`LruDict` tallies are folded in as
-        ``lru.*`` counters, so worker snapshots ship their cache
-        behaviour without per-access counter updates.
-        """
-        counters = dict(self._counters)
-        for name, value in _named_lru_counters().items():
-            counters[name] = counters.get(name, 0) + value
-        out: dict = {"counters": counters, "timers": {}, "pid": os.getpid()}
+        """A JSON-friendly copy of every counter and timer."""
+        out: dict = {"counters": dict(self._counters), "timers": {},
+                     "pid": os.getpid()}
         for label, secs in self._timers.items():
             out["timers"][label] = {
                 "seconds": secs,
@@ -232,12 +204,6 @@ class PerfRegistry:
         self._counters.clear()
         self._timers.clear()
         self._timer_calls.clear()
-        # Named caches survive a reset (they are long-lived working
-        # sets) but their tallies restart, so successive snapshots ship
-        # deltas rather than double-counting.
-        for d in _NAMED_LRUS:
-            d.hits = 0
-            d.misses = 0
 
     def rows(self) -> list[list]:
         """(kind, name, value) rows for tabular display."""

@@ -191,6 +191,20 @@ class TestThroughput:
                    for op in ops.values()) == draws
 
 
+def test_the_report_lists_every_compiled_cache(homes, capsys):
+    """Pool workers' per-candidate caches reach the run's ``perf``
+    event, so ``report`` and the ``watch`` cache table cover all of
+    them (the poison home is a 2-worker run)."""
+    where = ["--name", "camp", "--out", str(homes / "poison")]
+    doc = json.loads(cli(capsys, "campaign", "report", "--json", *where))
+    frame = cli(capsys, "campaign", "watch", "--once", *where)
+    for cache in ("layers", "self", "pairs", "slices", "parts"):
+        stats = doc["caches"][f"lru.compiled.{cache}"]
+        assert stats["hits"] + stats["misses"] > 0, cache
+        assert re.search(rf"^lru\.compiled\.{cache} +\d+ +\d+", frame,
+                         re.M), cache
+
+
 @pytest.mark.parametrize("interval", ["-1", "0", "nan", "inf"])
 def test_watch_rejects_a_bad_interval_at_parse_time(interval, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,12 @@
-"""Metrics export: Prometheus exposition and JSON forms of a snapshot."""
+"""Metrics export: Prometheus exposition and JSON forms of a snapshot,
+and the CLI's one export path (``--metrics``) beside ``--profile``."""
 
 import json
+import re
 
+import pytest
+
+from repro.cli.main import main
 from repro.obs.metrics import (
     _metric_name,
     metrics_json,
@@ -91,3 +96,38 @@ class TestJsonAndFiles:
         assert prom.read_text().startswith("# HELP ")
         assert txt.read_text() == prom.read_text()
         assert json.loads(js.read_text())["counters"]["store.hits"] == 2
+
+
+#: A tiny run of every command that takes ``--profile``.
+PROFILED = {
+    "map": ["map", "--iters", "4"],
+    "dse": ["dse", "--models", "MBV2", "--batch", "1", "--iters", "4",
+            "--max-candidates", "1", "--out", "d"],
+    "sweep": ["sweep", "--models", "MBV2", "--batches", "1", "--iters", "4",
+              "--out", "sw"],
+    "campaign-run": ["campaign", "run", "--name", "c", "--out", "camps",
+                     "--max-candidates", "1", "--models", "MBV2",
+                     "--batch", "1", "--iters", "4"],
+    "sa-report": ["sa-report", "--model", "MBV2", "--batch", "1",
+                  "--iters", "4"],
+}
+
+
+class TestCliExport:
+    @pytest.mark.parametrize("command", sorted(PROFILED))
+    def test_profile_prints_and_metrics_is_the_only_export(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = PROFILED[command] + ["--profile", "--metrics", "m.json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        # The counter/timer table, then the cache table.
+        assert re.search(r"^counter +sa\.iterations +\d", out, re.M)
+        assert re.search(r"^timer +sa\.run +[\d.]+s x\d", out, re.M)
+        assert re.search(r"^lru\.compiled\.layers +\d+ +\d+ +[\d.]+%",
+                         out, re.M)
+        data = json.loads((tmp_path / "m.json").read_text())
+        assert data["timers"]["sa.run"]["calls"] >= 1
+        assert data["counters"]["lru.compiled.layers.hits"] > 0
+        assert not list(tmp_path.rglob("BENCH_perf.json"))

@@ -1,5 +1,7 @@
 """Tests for the perf subsystem and the evaluation cache layers."""
 
+import gc
+
 import pytest
 
 from repro.arch import ArchConfig
@@ -11,6 +13,7 @@ from repro.evalmodel import Evaluator
 from repro.intracore.cache import IntraCoreEngine
 from repro.intracore.dataflow import CoreWorkload
 from repro.perf import LruDict, PerfRegistry, emit_bench, read_bench
+from repro.perf.counters import cache_stats, snapshot_delta
 from repro.units import GB, MB
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer, LayerType
@@ -267,7 +270,7 @@ class TestEvaluatorCaches:
 
 class TestRoutePrecompute:
     def test_route_tables_match_route(self):
-        from repro.arch.topology import MeshTopology
+        from repro.arch import MeshTopology
 
         arch = small_arch()
         topo = MeshTopology(arch)
@@ -300,36 +303,73 @@ class TestNamedLruInstrumentation:
         assert (d.hits, d.misses) == (1, 1)
 
     def test_snapshot_folds_named_lru_counters(self):
-        reg = PerfRegistry()
+        from repro.perf import PERF
+
+        start = PERF.snapshot()
         d = LruDict(max_entries=4, name="snaptest")
         d.put("a", 1)
         d.get_lru("a")
         d.get_lru("missing")
-        snap = reg.snapshot()
-        assert snap["counters"]["lru.snaptest.hits"] >= 1
-        assert snap["counters"]["lru.snaptest.misses"] >= 1
+        added = snapshot_delta(start, PERF.snapshot())["counters"]
+        assert added["lru.snaptest.hits"] == 1
+        assert added["lru.snaptest.misses"] == 1
+
+    def test_counts_outlive_the_cache(self):
+        """Each lookup is counted as it happens, so a cache that is
+        collected (a candidate's compiled tables) keeps its counts."""
+        from repro.perf import PERF
+
+        start = PERF.snapshot()
+        d = LruDict(max_entries=4, name="gonetest")
+        d.put("a", 1)
+        d.get_lru("a")
+        d.get_lru("missing")
+        del d
+        gc.collect()
+        added = snapshot_delta(start, PERF.snapshot())["counters"]
+        assert (added["lru.gonetest.hits"],
+                added["lru.gonetest.misses"]) == (1, 1)
+
+    def test_unnamed_dict_counts_nothing(self):
+        from repro.perf import PERF
+
+        start = PERF.snapshot()
+        d = LruDict(max_entries=4)
+        d.put("a", 1)
+        d.get_lru("a")
+        d.get_lru("missing")
+        assert (d.hits, d.misses) == (1, 1)
+        assert snapshot_delta(start, PERF.snapshot())["counters"] == \
+            {name: 0 for name in start["counters"]}
 
     def test_cache_stats_merges_counters_and_live_dicts(self):
-        reg = PerfRegistry()
-        reg.add("intracore.hits", 3)
-        reg.add("intracore.misses", 1)
+        from repro.perf import PERF
+
+        start = PERF.snapshot()
+        PERF.add("handrolled.hits", 3)
+        PERF.add("handrolled.misses", 1)
         d = LruDict(max_entries=4, name="statstest")
         d.put("k", 1)
         d.get_lru("k")
-        stats = reg.cache_stats()
-        assert stats["intracore"]["hit_rate"] == pytest.approx(0.75)
-        assert stats["lru.statstest"]["hits"] >= 1
+        stats = cache_stats(snapshot_delta(start, PERF.snapshot())["counters"])
+        assert stats["handrolled"]["hit_rate"] == pytest.approx(0.75)
+        assert (stats["lru.statstest"]["hits"],
+                stats["lru.statstest"]["misses"]) == (1, 0)
+        assert PERF.cache_stats()["lru.statstest"]["hits"] >= 1
 
     def test_reset_zeroes_live_tallies(self):
+        """``PERF.reset()`` restarts a named cache's counters; the cache
+        keeps its working set and its own lifetime tallies."""
         from repro.perf import PERF
 
         d = LruDict(max_entries=4, name="resettest")
         d.put("k", 1)
         d.get_lru("k")
         PERF.reset()
-        assert (d.hits, d.misses) == (0, 0)
-        # The working set survives; only the tallies restart.
+        assert "lru.resettest.hits" not in PERF.snapshot()["counters"]
         assert d.get_lru("k") == 1
+        assert PERF.get("lru.resettest.hits") == 1
+        assert (d.hits, d.misses) == (2, 0)
 
     def test_add_time_accumulates(self):
         reg = PerfRegistry()
@@ -368,8 +408,8 @@ class TestNamedLruInstrumentation:
 
         PERF.reset()
         snap = PERF.snapshot()
-        assert snap["counters"]["lru.resetfresh.hits"] == 0
-        assert snap["counters"]["lru.resetfresh.misses"] == 0
+        assert snap["counters"].get("lru.resetfresh.hits", 0) == 0
+        assert snap["counters"].get("lru.resetfresh.misses", 0) == 0
 
         # Re-query: exactly the new accesses, nothing carried over.
         assert d.get_lru("k") == 1     # working set survived the reset
@@ -380,6 +420,58 @@ class TestNamedLruInstrumentation:
         stats = PERF.cache_stats()["lru.resetfresh"]
         assert (stats["hits"], stats["misses"]) == (1, 1)
         assert stats["hit_rate"] == pytest.approx(0.5)
+
+
+class TestCompiledCacheCounts:
+    """Every compiled cache's lookups reach the run's snapshot, from the
+    per-candidate caches that die with their candidate too, in process
+    and from pool workers."""
+
+    CACHES = ("layers", "self", "pairs", "slices", "parts")
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Count every named lookup under ``seen.<name>.*`` by wrapping
+        ``get_lru``; fork workers inherit the wrapper, and their task
+        snapshots carry its counts home."""
+        from repro.perf import PERF
+
+        get_lru = LruDict.get_lru
+
+        def counting(cache, key):
+            value = get_lru(cache, key)
+            if cache.name is not None:
+                outcome = "hits" if value is not None else "misses"
+                PERF.add(f"seen.{cache.name}.{outcome}")
+            return value
+
+        monkeypatch.setattr(LruDict, "get_lru", counting)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "fork-2"])
+    def test_snapshot_equals_every_lookup(self, seen, workers):
+        from repro.cli.main import table1_candidates
+        from repro.dse import DesignSpaceExplorer, Workload
+        from repro.dse.pool import pool_start_method
+        from repro.perf import PERF
+        from repro.workloads.models import build
+
+        if workers > 1 and pool_start_method() != "fork":
+            pytest.skip("the counting wrapper reaches workers by fork")
+        start = PERF.snapshot()
+        with DesignSpaceExplorer(
+            [Workload(build("MBV2"), batch=1)],
+            sa_settings=SASettings(iterations=40),
+            record_mappings=False,
+        ) as explorer:
+            explorer.explore(table1_candidates(72, False)[:6],
+                             workers=workers)
+        added = snapshot_delta(start, PERF.snapshot())["counters"]
+        for cache in self.CACHES:
+            for outcome in ("hits", "misses"):
+                want = added[f"seen.compiled.{cache}.{outcome}"]
+                assert want > 0, (cache, outcome)
+                assert added[f"lru.compiled.{cache}.{outcome}"] == want, \
+                    (cache, outcome)
 
 
 class TestMergeOrderIndependence:
