@@ -527,7 +527,7 @@ class CampaignRunner:
                 run_tasks(
                     tasks, workers, checkpoint, on_failure=record_failure,
                     on_event=self._on_event, policy=policy,
-                    explorer=self.explorer, keys=self.candidate_keys,
+                    context=self.explorer, keys=self.candidate_keys,
                 )
             outcome = "run_finished"
         finally:

@@ -294,11 +294,13 @@ class _DeferredBlocks:
         v = shares[:, None] * pre[1]
         seg = self.flat_q.add(idx, v.ravel(), reps, len(d))
         # Per-DRAM sequential per-part tally, as in dram_scatter_batch
-        # (+0.0 rows for the DRAMs this slice does not read).
+        # (+0.0 rows for the DRAMs this slice does not read).  The
+        # totals are copied out: a column view would keep the whole
+        # cumsum alive in the slice cache.
         per_dram = np.zeros((ceval.n_dram, v.shape[1]))
         per_dram[d] = v
         return ("dram", seg, len(d),
-                (per_dram, per_dram.cumsum(axis=1)[:, -1]))
+                (per_dram, per_dram.cumsum(axis=1)[:, -1].copy()))
 
     def stage_self_block(self, lid: int, scheme, bu: int, layer):
         """Weight + ofmap flows of one scheme: shared empty, cached, or

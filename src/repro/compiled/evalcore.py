@@ -144,6 +144,40 @@ class _GroupCtx:
         ]
 
 
+def _route_arrays(topo, n_cores: int, n_dram: int, n_links: int) -> tuple:
+    """The route arrays a :class:`CompiledEval` gathers from, derived
+    from the topology's route tables alone (so one fabric structure's
+    are shared, see :meth:`~repro.fabric.base.BaseTopology.
+    shared_routes`): ``(core table, core lens, route words, DRAM
+    tables)``."""
+    table, core_lens = topo.core_route_table()
+    to_d, to_l, from_d, from_l = topo.dram_route_tables()
+    n_rows = n_cores * n_dram
+    # Row ``dram * n_cores + core``: the DRAM -> core route's links as a
+    # bitset in 64-bit words, so a multicast tree (the union of its
+    # destinations' routes) is a bitwise OR, its size a popcount.
+    # Packed per DRAM: the transient matrix stays cores x links.
+    width = -(-n_links // 64) * 64
+    packed = np.empty((n_dram, n_cores, width // 8), dtype=np.uint8)
+    member = np.empty((n_cores, width + 1), dtype=bool)
+    for d in range(n_dram):
+        member[:] = False  # rows core * n_dram + d; -1 pads: last
+        member[np.arange(n_cores)[:, None], from_d[d::n_dram]] = True
+        packed[d] = np.packbits(member[:, :width], 1, bitorder="little")
+    route_words = packed.reshape(n_rows, -1).view(np.uint64)
+    # ``(table, stacked, lens)`` per direction (write, read), rows
+    # ``core * n_dram + dram``: ``stacked`` offsets valid entries by
+    # ``dram * n_links`` — interleaving targets DRAM t as target t.
+    offsets = stacked_offsets(n_dram, n_links)[np.arange(n_rows) % n_dram]
+    dram_tables = []
+    for table_d, lens in ((to_d, to_l), (from_d, from_l)):
+        table_d = as_index_table(table_d)
+        stacked = np.where(table_d >= 0, table_d + offsets[:, None], -1)
+        dram_tables.append((table_d, stacked, lens))
+    return (as_index_table(table), core_lens, route_words,
+            tuple(dram_tables))
+
+
 class CompiledEval:
     """Array-native evaluation of one graph on one evaluator.
 
@@ -156,8 +190,8 @@ class CompiledEval:
     evaluator itself, which owns this object: without the
     back-reference both die by refcount.
 
-    Partition records come from the evaluator's shared store when it
-    has one, else from a private one.  A record is a function of the
+    Partition records come from the evaluator's core store when it has
+    one, else from a private LRU.  A record is a function of the
     graph, the layer, the partition, the batch unit and the core
     parameters, so keys in a shared store lead with ``(engine,
     graph)``, an engine standing for one core micro-architecture:
@@ -171,11 +205,12 @@ class CompiledEval:
         self.energy = evaluator.energy
         self.intracore = evaluator.intracore
         self.cgraph = cgraph
-        self.parts = evaluator.parts
-        self._part_ns = (self.intracore, graph)
-        if self.parts is None:
+        if evaluator.store is None:
             self.parts = LruDict(32768, name="compiled.parts")
             self._part_ns = None
+        else:
+            self.parts = evaluator.store.parts
+            self._part_ns = (self.intracore, graph)
         self.layers = LruDict(32768, name="compiled.layers")
         self.self_blocks = LruDict(32768, name="compiled.self")
         self.pair_geom = LruDict(32768, name="compiled.pairs")
@@ -197,31 +232,10 @@ class CompiledEval:
         self.sl_dw = slice(n_links + n_dram, n_links + 2 * n_dram)
         self.sl_do = slice(n_links + 2 * n_dram, n_links + 3 * n_dram)
         self.i_hop = n_links + 3 * n_dram
-        table, self.core_lens = topo.core_route_table()
-        self.core_table = as_index_table(table)
-        to_d, to_l, from_d, from_l = topo.dram_route_tables()
-        n_rows = n_cores * n_dram
-        # Row ``dram * n_cores + core``: the DRAM -> core route's links
-        # as a bitset in 64-bit words, so a multicast tree (the union of
-        # its destinations' routes) is a bitwise OR, its size a popcount.
-        # Packed per DRAM: the transient matrix stays cores x links.
-        width = -(-n_links // 64) * 64
-        packed = np.empty((n_dram, n_cores, width // 8), dtype=np.uint8)
-        member = np.empty((n_cores, width + 1), dtype=bool)
-        for d in range(n_dram):
-            member[:] = False  # rows core * n_dram + d; -1 pads: last
-            member[np.arange(n_cores)[:, None], from_d[d::n_dram]] = True
-            packed[d] = np.packbits(member[:, :width], 1, bitorder="little")
-        self.route_words = packed.reshape(n_rows, -1).view(np.uint64)
-        # ``(table, stacked, lens)`` per direction (write, read), rows
-        # ``core * n_dram + dram``: ``stacked`` offsets valid entries by
-        # ``dram * n_links`` — interleaving targets DRAM t as target t.
-        offsets = stacked_offsets(n_dram, n_links)[np.arange(n_rows) % n_dram]
-        self._dram_tables = []
-        for table, lens in ((to_d, to_l), (from_d, from_l)):
-            table = as_index_table(table)
-            stacked = np.where(table >= 0, table + offsets[:, None], -1)
-            self._dram_tables.append((table, stacked, lens))
+        (self.core_table, self.core_lens, self.route_words,
+         self._dram_tables) = topo.shared_routes(
+            "compiled", lambda: _route_arrays(topo, n_cores, n_dram, n_links)
+        )
         #: ``(DRAM indices, shares)`` per FD selector 0..n_dram, as
         #: arrays in :func:`_dram_targets` order.
         self.fd_targets = [

@@ -12,6 +12,7 @@ is exactly the paper's T-Map baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.arch.energy import DEFAULT_ENERGY, EnergyModel
 from repro.arch.params import ArchConfig
@@ -22,9 +23,10 @@ from repro.core.initial import initial_lms
 from repro.core.sa import SAController, SASettings, SAStats
 from repro.evalmodel.breakdown import MappingEval
 from repro.evalmodel.evaluator import Evaluator
-from repro.intracore.cache import IntraCoreEngine
-from repro.perf import LruDict
 from repro.workloads.graph import DNNGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.store import CoreStore
 
 
 @dataclass
@@ -69,9 +71,10 @@ class MappingEngineSettings:
 class MappingEngine:
     """Gemini's Mapping Engine bound to one architecture.
 
-    ``intracore`` and ``parts`` are passed to the :class:`Evaluator`:
-    an intra-core engine and a partition-record store shared with other
-    architectures of the same core micro-architecture.
+    ``store`` (a :class:`~repro.core.store.CoreStore`) shares intra-core
+    schedules, partition records and initial mappings with the other
+    engines its owner builds; it is passed on to the
+    :class:`Evaluator`.  Without one the engine builds its own.
     """
 
     def __init__(
@@ -80,20 +83,39 @@ class MappingEngine:
         energy: EnergyModel = DEFAULT_ENERGY,
         topo: Topology | None = None,
         settings: MappingEngineSettings | None = None,
-        intracore: IntraCoreEngine | None = None,
-        parts: LruDict | None = None,
+        store: CoreStore | None = None,
     ):
         self.arch = arch
         self.settings = settings or MappingEngineSettings()
+        self.store = store
         self.evaluator = Evaluator(arch, topo=topo, energy=energy,
-                                   intracore=intracore, parts=parts)
+                                   store=store)
 
     # ------------------------------------------------------------------
 
     def initial_mapping(
         self, graph: DNNGraph, batch: int
     ) -> list[LayerGroupMapping]:
-        """Graph partition + stripe heuristic (the T-Map baseline)."""
+        """Graph partition + stripe heuristic (the T-Map baseline).
+
+        With a store, memoized by everything it reads: the graph, the
+        batch, ``max_group_layers`` and the arch's core count and grid,
+        peak MAC rate, DRAM bandwidth and DRAM count — not its
+        interconnect, chiplet cuts, NoC/D2D bandwidths or GLB size.
+        """
+        if self.store is None:
+            return self._initial_mapping(graph, batch)
+        arch = self.arch
+        key = (graph, batch, self.settings.max_group_layers, arch.n_cores,
+               arch.cores_x, arch.cores_y, arch.peak_macs_per_s,
+               arch.dram_bw, arch.n_dram)
+        return list(self.store.initial_mapping(
+            key, lambda: self._initial_mapping(graph, batch)
+        ))
+
+    def _initial_mapping(
+        self, graph: DNNGraph, batch: int
+    ) -> list[LayerGroupMapping]:
         groups = partition_graph(
             graph, self.arch, batch,
             max_group_layers=self.settings.max_group_layers,

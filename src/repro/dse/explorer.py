@@ -14,12 +14,13 @@ seeded deterministically from the candidate's position in the list, so
 
 Table-I candidates share few core micro-architectures, and the
 intra-core schedules and partition records a cold candidate builds
-depend on its core alone.  An explorer therefore keeps one intra-core
-engine per core and one bounded partition-record store for its whole
-life, and every candidate it maps — in-process or in a pool worker —
-reuses what earlier candidates with the same core built.  The store is
-never pickled: fork workers inherit the parent's copy-on-write, spawn
-workers start empty.
+depend on its core alone, its initial mapping on its core grid, peak
+MAC rate and DRAM bandwidth alone.  An explorer therefore owns one
+:class:`~repro.core.store.CoreStore` for its whole life, and every
+candidate it maps — in-process or in a pool worker — reuses what
+earlier candidates with the same core built.  The store pickles
+without its contents: fork workers inherit the parent's copy-on-write,
+spawn workers start empty.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.arch.energy import DEFAULT_ENERGY
 from repro.arch.params import ArchConfig
 from repro.core.engine import MappingEngine, MappingEngineSettings
 from repro.core.sa import SASettings
+from repro.core.store import CoreStore
 from repro.cost.mc import DEFAULT_MC, MCEvaluator, MCReport
 from repro.dse.objective import OBJECTIVE_MCED, Objective
-from repro.intracore.cache import IntraCoreEngine, core_key
-from repro.perf import PERF, LruDict
+from repro.perf import PERF
 from repro.workloads.graph import DNNGraph
 
 #: Partition records an explorer keeps across candidates, over all its
@@ -44,8 +44,6 @@ from repro.workloads.graph import DNNGraph
 #: cross-candidate hit of a 12-candidate worker sequence; 512 keep
 #: about half of the saving.
 PART_RECORDS = 1024
-#: Schedules an explorer's intra-core engine keeps per core.
-SCHEDULES_PER_CORE = 20_000
 
 
 @dataclass(frozen=True)
@@ -176,25 +174,23 @@ class DesignSpaceExplorer:
         #: exploration to keep worker IPC and report memory lean.
         self.record_mappings = record_mappings
         self._pool = None
-        #: ``(engines by core key, partition records)``, built on first
-        #: use (:meth:`_core_cache`).
-        self._core_store = None
+        #: What candidates with one core share (see the module doc).
+        self.store = CoreStore(PART_RECORDS)
 
     # ------------------------------------------------------------------
     # Worker pool
     # ------------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Compile every workload's graph tables (idempotent).
+        """Compile every workload's graph tables into the store
+        (idempotent).
 
         Called in the parent before pool workers exist so fork-based
         workers inherit the compiled tables instead of building their
         own (spawn-based workers build theirs on first use).
         """
-        from repro.compiled import compile_graph
-
         for wl in self.workloads:
-            compile_graph(wl.graph)
+            self.store.compiled_graph(wl.graph)
 
     def pool(self, workers: int):
         """The persistent worker pool, grown on demand.
@@ -211,6 +207,9 @@ class DesignSpaceExplorer:
             self._pool.close()
             self._pool = None
         if self._pool is None:
+            # Compile the graph tables before any worker exists, so
+            # fork workers inherit them.
+            self.prepare()
             self._pool = PersistentEvalPool(self, workers)
         else:
             PERF.add("dse.pool.reused")
@@ -230,29 +229,10 @@ class DesignSpaceExplorer:
 
     def __getstate__(self):
         # Pools hold OS resources; workers re-derive state from the
-        # shipped explorer, never from its pool.  The core store is a
-        # cache: shipping it would cost more than rebuilding it.
+        # shipped explorer, never from its pool.
         state = dict(self.__dict__)
         state["_pool"] = None
-        state["_core_store"] = None
         return state
-
-    def _core_cache(self, arch: ArchConfig) -> tuple:
-        """``(intra-core engine, partition-record store)`` for mapping
-        ``arch``: the engine of ``arch``'s core and the one record
-        store, shared by every candidate this explorer maps."""
-        if self._core_store is None:
-            self._core_store = (
-                {}, LruDict(PART_RECORDS, name="compiled.parts"),
-            )
-        engines, parts = self._core_store
-        key = core_key(arch, DEFAULT_ENERGY)
-        engine = engines.get(key)
-        if engine is None:
-            engine = engines[key] = IntraCoreEngine(
-                arch, DEFAULT_ENERGY, max_entries=SCHEDULES_PER_CORE
-            )
-        return engine, parts
 
     # ------------------------------------------------------------------
 
@@ -288,15 +268,13 @@ class DesignSpaceExplorer:
         from repro.obs.trace import trace
 
         t0 = time.perf_counter()
-        intracore, parts = self._core_cache(arch)
         engine = MappingEngine(
             arch,
             settings=MappingEngineSettings(
                 sa=self._candidate_settings(index),
                 max_group_layers=self.max_group_layers,
             ),
-            intracore=intracore,
-            parts=parts,
+            store=self.store,
         )
         per: dict[str, tuple[float, float]] = {}
         mappings: dict[str, list] = {}
@@ -475,7 +453,7 @@ class DesignSpaceExplorer:
             run_tasks(
                 [(i, evaluate_task, (arch,))
                  for i, arch in enumerate(candidates)],
-                workers, collect, explorer=self, force_pool=force_pool,
+                workers, collect, context=self, force_pool=force_pool,
             )
         best = min(results, key=lambda r: r.score)
         return DseReport(

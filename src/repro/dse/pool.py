@@ -11,30 +11,34 @@ campaign runner shares it; a sweep builds one per ``run_sweep`` call).
 
 Workers get their state one way under every start method (the pool
 honors ``multiprocessing.set_start_method``): the executor's
-initializer takes ``(explorer, hook)``.  Fork workers inherit those
+initializer takes ``(context, hook)``, where the context is the object
+every task runs against — an explorer, or a sweep's
+:class:`~repro.core.store.CoreStore`.  Fork workers inherit those
 arguments with the parent's memory (CPython does not pickle process
 arguments under fork), and with them the graph tables
-``explorer.prepare()`` compiled before the first worker started; spawn
-workers (the macOS/Windows default) unpickle them once each and
-compile their own tables on first use.  Telemetry comes back one way
-too: each task returns its outcome with the worker's ``PERF`` snapshot
-and its spans, both cleared before the task, and :func:`run_tasks`
-merges them into the parent's ``PERF`` and ``TRACER``.
+``explorer.prepare()`` compiled before the first worker started and
+whatever the context's core store already holds; spawn workers (the
+macOS/Windows default) unpickle them once each — a core store pickles
+empty — and compile their own tables on first use.  Telemetry comes
+back one way too: each task returns its outcome with the worker's
+``PERF`` snapshot and its spans, both cleared before the task, and
+:func:`run_tasks` merges them into the parent's ``PERF`` and
+``TRACER``.
 
 The pool is also *supervisable*: a SIGKILL'd or hung worker breaks a
 ``ProcessPoolExecutor`` permanently (every outstanding future raises
 ``BrokenProcessPool`` and the executor refuses new work), so
 :meth:`PersistentEvalPool.respawn` tears the broken executor down —
 force-killing any still-running workers, which is the only way to
-clear a hung task — and builds a fresh one bound to the same explorer.
+clear a hung task — and builds a fresh one bound to the same context.
 
-Nothing global holds a pool's explorer: an explorer dropped without
+Nothing global holds a pool's context: an explorer dropped without
 ``close()`` forms a collectable cycle with its pool's executor (through
 the initializer arguments), and CPython's executor shuts its workers
 down when the cycle is collected.
 
-The explorer must be treated as immutable once a pool exists — workers
-saw its state at fork/spawn time.
+The context must be treated as immutable once a pool exists — workers
+saw its state at fork/spawn time (a core store only grows per process).
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ from repro.errors import ReproError
 from repro.obs.trace import TRACER
 from repro.perf import PERF
 
-#: Worker-process state: the pool's explorer (``None`` for a pool
+#: Worker-process state: the pool's task context (``None`` for a pool
 #: built without one), adopted once by the initializer.
-_WORKER_EXPLORER = None
+_WORKER_CONTEXT = None
 
 #: Longest single sleep or ``wait`` of the dispatcher; a longer
 #: deadline or backoff just takes several.  Waits past
@@ -76,16 +80,16 @@ def _sleep(seconds: float) -> None:
         seconds -= step
 
 
-def _init_worker(explorer, hook) -> None:
+def _init_worker(context, hook) -> None:
     """Adopt the pool's state as this worker's task context.
 
-    ``explorer`` (``None`` for a pool built without one) is the
+    ``context`` (``None`` for a pool built without one) is the
     parent's object under fork and an unpickled copy under spawn;
     ``hook`` is the chaos evaluation hook armed in the parent at
     executor creation (``None`` in production).
     """
-    global _WORKER_EXPLORER
-    _WORKER_EXPLORER = explorer
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = context
     if hook is not None:
         explorer_mod._EVAL_HOOK = hook
 
@@ -96,7 +100,7 @@ def _run_in_worker(task):
     Fires the chaos hook (when armed) with ``(index, attempt)``, resets
     the process-local ``PERF`` registry and clears ``TRACER`` so the
     task ships only its own counters and spans, and returns
-    ``(fn(explorer, index, *args), perf_snapshot, spans)``.  It opens no
+    ``(fn(context, index, *args), perf_snapshot, spans)``.  It opens no
     span of its own, so a task's spans stay roots in the worker.
     """
     index, fn, args, attempt = task
@@ -104,7 +108,7 @@ def _run_in_worker(task):
         explorer_mod._EVAL_HOOK(index, attempt)
     PERF.reset()
     TRACER.clear()
-    outcome = fn(_WORKER_EXPLORER, index, *args)
+    outcome = fn(_WORKER_CONTEXT, index, *args)
     return outcome, PERF.snapshot(), TRACER.snapshot()
 
 
@@ -133,17 +137,13 @@ def pool_start_method() -> str:
 
 
 class PersistentEvalPool:
-    """A long-lived process pool, bound to one explorer or to none."""
+    """A long-lived process pool, bound to one task context or to none."""
 
-    def __init__(self, explorer, workers: int):
+    def __init__(self, context, workers: int):
         if workers < 1:
             raise ValueError("pool needs at least one worker")
         self.workers = workers
-        self._explorer = explorer
-        if explorer is not None:
-            # Compile the workloads' graph tables before any worker
-            # exists, so fork workers inherit them.
-            explorer.prepare()
+        self._context = context
         self.start_method = pool_start_method()
         self._pool = self._spawn_executor()
         PERF.add("dse.pool.created")
@@ -156,7 +156,7 @@ class PersistentEvalPool:
             max_workers=self.workers,
             mp_context=mp.get_context(self.start_method),
             initializer=_init_worker,
-            initargs=(self._explorer, explorer_mod._EVAL_HOOK),
+            initargs=(self._context, explorer_mod._EVAL_HOOK),
         )
 
     def respawn(self) -> None:
@@ -184,16 +184,18 @@ class PersistentEvalPool:
 
 
 def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
-              on_event=None, policy=None, explorer=None,
+              on_event=None, policy=None, context=None,
               force_pool: bool = False, keys=None,
               label="candidate {}".format) -> None:
     """Run ``(index, fn, args)`` tasks to an outcome each, supervised.
 
-    A task runs as ``fn(explorer, index, *args)``: in-process — no
+    A task runs as ``fn(context, index, *args)``: in-process — no
     fork, no ``PERF`` reset — when one worker suffices (``workers`` is
     1, the policy has no deadline, no chaos hook is armed and
-    ``force_pool`` is off); otherwise on ``explorer``'s persistent pool,
-    or on a private pool closed on return when ``explorer`` is None.
+    ``force_pool`` is off); otherwise on the context's persistent pool
+    when it keeps one (an explorer's ``pool(workers)``), or on a
+    private pool bound to the context (a sweep's core store, or
+    ``None``) and closed on return.
 
     Every task that finishes is handed over as ``on_result(index,
     outcome, attempt, pid)``, after its worker's ``PERF`` snapshot and
@@ -246,10 +248,11 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
     emit = on_event or (lambda event, **fields: None)
     workers = min(workers, len(tasks))
     pool = None
+    owned_pool = getattr(context, "pool", None)
     if (workers > 1 or force_pool or policy.needs_supervision
             or explorer_mod._EVAL_HOOK is not None):
-        pool = (PersistentEvalPool(None, workers) if explorer is None
-                else explorer.pool(workers))
+        pool = (PersistentEvalPool(context, workers) if owned_pool is None
+                else owned_pool(workers))
     # Charged faults per task index; the dispatch attempt number is
     # faults + 1, so injected chaos faults key on a deterministic
     # attempt sequence even across collateral re-dispatches (which
@@ -271,7 +274,7 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
         if pool is None:
             fut = Future()
             try:
-                fut.set_result((fn(explorer, index, *args), None, None))
+                fut.set_result((fn(context, index, *args), None, None))
             except Exception as exc:  # noqa: BLE001 - as from a worker
                 fut.set_exception(exc)
         else:
@@ -425,7 +428,7 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
     finally:
         for fut in inflight:
             fut.cancel()
-        if pool is not None and explorer is None:
+        if pool is not None and owned_pool is None:
             pool.close()
 
     if failures:

@@ -27,6 +27,7 @@ speed from reuse and array layout, not from approximation.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
 from repro.arch.energy import DEFAULT_ENERGY, EnergyModel
@@ -38,10 +39,13 @@ from repro.evalmodel.breakdown import EnergyBreakdown, GroupEval, MappingEval
 from repro.evalmodel.delay import group_delay, stage_times_from_compute
 from repro.evalmodel.energy import group_energy_from_intra
 from repro.evalmodel.traffic_analysis import GroupTraffic, GroupTrafficAnalyzer
-from repro.intracore.cache import IntraCoreEngine, core_key
+from repro.intracore.cache import IntraCoreEngine
 from repro.intracore.result import IntraCoreResult
-from repro.perf import PERF, LruDict
+from repro.perf import PERF
 from repro.workloads.graph import DNNGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.store import CoreStore
 
 
 class Evaluator:
@@ -55,13 +59,12 @@ class Evaluator:
     original single-shot pipeline, kept as the reference oracle);
     results are identical either way.
 
-    ``intracore`` and ``parts`` share an intra-core engine and a store
-    of the compiled core's partition records with other evaluators of
-    the same core micro-architecture (what a design-space explorer
-    hands every candidate it maps).  Both depend on the core
-    parameters alone, never on topology, bandwidths or fabric; an
-    engine built for other core parameters raises ``ValueError``.  By
-    default, and always for the oracle, the evaluator builds its own.
+    ``store`` (a :class:`~repro.core.store.CoreStore`) supplies the
+    intra-core engine of this architecture's core and the compiled
+    core's shared partition records, which depend on the core
+    parameters alone, never on topology, bandwidths or fabric (what an
+    explorer or a sweep hands every architecture it maps).  Without
+    one, and always for the oracle, the evaluator builds its own.
     """
 
     def __init__(
@@ -70,25 +73,15 @@ class Evaluator:
         topo: Topology | None = None,
         energy: EnergyModel = DEFAULT_ENERGY,
         cache: bool = True,
-        intracore: IntraCoreEngine | None = None,
-        parts: LruDict | None = None,
+        store: CoreStore | None = None,
     ):
-        if intracore is not None and \
-                intracore.core_key != core_key(arch, energy):
-            raise ValueError(
-                "shared intra-core engine was built for other core "
-                "parameters than this architecture's"
-            )
         self.arch = arch
         self.topo = topo if topo is not None else build_topology(arch)
         self.energy = energy
         self.cache_enabled = cache
-        if intracore is None or not cache:
-            intracore = IntraCoreEngine(arch, energy)
-        self.intracore = intracore
-        #: The partition-record store handed to the compiled core
-        #: (``None``: each compiled graph keeps its own).
-        self.parts = parts
+        self.store = store if cache else None
+        self.intracore = (IntraCoreEngine(arch, energy) if self.store is None
+                          else store.intracore(arch, energy))
         self._compiled: WeakKeyDictionary[DNNGraph, object] = (
             WeakKeyDictionary()
         )
@@ -126,7 +119,9 @@ class Evaluator:
         if ce is None:
             from repro.compiled import CompiledEval, compile_graph
 
-            ce = CompiledEval(self, compile_graph(graph), graph)
+            cgraph = (compile_graph(graph) if self.store is None
+                      else self.store.compiled_graph(graph))
+            ce = CompiledEval(self, cgraph, graph)
             self._compiled[graph] = ce
         return ce
 

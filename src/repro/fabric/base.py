@@ -22,9 +22,16 @@ brute-force routing property tests assert this for every registered
 fabric.
 
 Route lookups are memoized per topology and counted
-(``fabric.route.hits/.misses``), and the one-time route-table builds
-are timed per fabric kind (``fabric.route_tables.<kind>``) — both show
-up in the ``--profile`` hit-ratio table.
+(``fabric.route.hits/.misses``).  The padded route tables, and the
+arrays the compiled core derives from them, depend on the fabric's
+*structure* alone (:meth:`BaseTopology.structure_key`: class, spec,
+core grid and DRAM count) — chiplet cuts, bandwidths, GLB size and MACs
+change no link index and no route.  So they come from one bounded
+per-process memo of read-only arrays keyed by structure
+(:meth:`BaseTopology.shared_routes`, counted as
+``lru.fabric.route_tables``): a sweep or a DSE that maps many
+architectures of one structure builds them once.  Each build is timed
+per fabric kind (``fabric.route_tables.<kind>``).
 """
 
 from __future__ import annotations
@@ -34,13 +41,33 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.perf import PERF
+from repro.perf import PERF, LruDict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.arch.params import ArchConfig
     from repro.fabric.spec import FabricSpec
 
 NodeId = tuple
+
+#: Fabric structures whose route tables a process keeps, least recently
+#: used first out.  One sweep's five fabrics on one arch fit, so a
+#: worker cycling through them builds each structure's tables once.
+ROUTE_STRUCTURES = 8
+
+#: Structure key -> ``{table name: read-only arrays}``, shared by every
+#: topology of that structure in this process.
+_ROUTE_MEMO = LruDict(ROUTE_STRUCTURES, name="fabric.route_tables")
+
+
+def _read_only(value):
+    """``value`` with every array it holds, through tuples, made
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
 
 
 @dataclass(frozen=True)
@@ -87,6 +114,7 @@ class Topology(Protocol):
     def dram_route_tables(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]: ...
+    def shared_routes(self, name: str, build): ...
 
 
 class BaseTopology:
@@ -271,16 +299,46 @@ class BaseTopology:
             table[i, : len(r)] = r
         return table, lens
 
+    def structure_key(self) -> tuple:
+        """What this fabric's link indices and routes depend on: the
+        class (link order and router paths), the spec (routing policy
+        and knobs), the core grid and the DRAM count.  Chiplet cuts and
+        bandwidths only set each link's class and bandwidth."""
+        arch = self.arch
+        return (type(self), self.spec, arch.cores_x, arch.cores_y,
+                arch.n_dram)
+
+    def shared_routes(self, name: str, build):
+        """``build()``'s arrays, built once per fabric structure in this
+        process and served read-only to every topology of it.
+
+        ``build`` must derive them from routes and the structure alone,
+        never from bandwidths or link classes.
+        """
+        key = self.structure_key()
+        tables = _ROUTE_MEMO.get_lru(key)
+        if tables is None:
+            tables = {}
+            _ROUTE_MEMO.put(key, tables)
+        got = tables.get(name)
+        if got is None:
+            got = tables[name] = _read_only(build())
+        return got
+
     def core_route_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Core-to-core route table; row ``src * n_cores + dst``."""
         if self._core_route_table is None:
-            with PERF.time(f"fabric.route_tables.{self.kind}"):
-                n = self.arch.n_cores
-                self._core_route_table = self._build_route_table([
-                    (self.core_node(s), self.core_node(d))
-                    for s in range(n) for d in range(n)
-                ])
+            self._core_route_table = self.shared_routes(
+                "core", self._build_core_routes)
         return self._core_route_table
+
+    def _build_core_routes(self) -> tuple[np.ndarray, np.ndarray]:
+        with PERF.time(f"fabric.route_tables.{self.kind}"):
+            n = self.arch.n_cores
+            return self._build_route_table([
+                (self.core_node(s), self.core_node(d))
+                for s in range(n) for d in range(n)
+            ])
 
     def dram_route_tables(
         self,
@@ -292,16 +350,22 @@ class BaseTopology:
         core -> DRAM (``from_dram`` the reverse).
         """
         if self._dram_route_tables is None:
-            with PERF.time(f"fabric.route_tables.{self.kind}"):
-                n = self.arch.n_cores
-                n_dram = len(self._dram_nodes)
-                to_dram = self._build_route_table([
-                    (self.core_node(c), self._dram_nodes[d])
-                    for c in range(n) for d in range(n_dram)
-                ])
-                from_dram = self._build_route_table([
-                    (self._dram_nodes[d], self.core_node(c))
-                    for c in range(n) for d in range(n_dram)
-                ])
-                self._dram_route_tables = (*to_dram, *from_dram)
+            self._dram_route_tables = self.shared_routes(
+                "dram", self._build_dram_routes)
         return self._dram_route_tables
+
+    def _build_dram_routes(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        with PERF.time(f"fabric.route_tables.{self.kind}"):
+            n = self.arch.n_cores
+            n_dram = len(self._dram_nodes)
+            to_dram = self._build_route_table([
+                (self.core_node(c), self._dram_nodes[d])
+                for c in range(n) for d in range(n_dram)
+            ])
+            from_dram = self._build_route_table([
+                (self._dram_nodes[d], self.core_node(c))
+                for c in range(n) for d in range(n_dram)
+            ])
+            return (*to_dram, *from_dram)

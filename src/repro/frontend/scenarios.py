@@ -8,6 +8,18 @@ executes any scenario list — in-process or over the supervised
 dispatcher's process pool — writing per-scenario artifacts
 (``summary.json`` + ``mapping.json``) and one top-level ``sweep.csv``.
 
+Most scenarios of a sweep repeat an earlier one's model, batch and
+core on another fabric or arch, so each :func:`run_sweep` call owns one
+:class:`~repro.core.store.CoreStore` and every scenario it maps reuses
+what earlier ones built: each model source is loaded and compiled once,
+and intra-core schedules, partition records (at most
+:data:`SWEEP_PART_RECORDS`) and initial mappings are shared wherever
+they do not depend on the fabric.  The store rides the pool's
+initializer, so every worker keeps its own copy for the whole call
+(fork workers start from the parent's, spawn workers from an empty
+one); the route tables of each fabric structure are shared per process
+anyway (:meth:`repro.fabric.base.BaseTopology.shared_routes`).
+
 Scenarios are plain frozen dataclasses, so they pickle cleanly into
 worker processes and compose into larger campaigns.
 """
@@ -21,12 +33,19 @@ from pathlib import Path
 from repro.arch import g_arch, g_arch_120, s_arch, t_arch
 from repro.arch.params import ArchConfig
 from repro.core import MappingEngine, MappingEngineSettings, SASettings
+from repro.core.store import CoreStore
 from repro.io.atomic import atomic_write_json
 from repro.io.serialization import (
     load_arch,
     mapping_result_summary,
     save_mapping,
 )
+
+#: Partition records a sweep's core store keeps, over all its cores and
+#: models.  Half the explorer's cap: on the benchmark's fabric sweep a
+#: worker's 20 scenarios miss as often as with an unbounded store, and
+#: the explorer's 1,024 would add about 2.5 MiB per worker.
+SWEEP_PART_RECORDS = 512
 
 #: Named architecture presets accepted wherever an arch is referenced.
 ARCH_PRESETS = {
@@ -162,22 +181,29 @@ def grid_scenarios(
 
 
 def _run_scenario_full(
-    scenario: Scenario, out_dir: str | Path | None = None
+    scenario: Scenario, out_dir: str | Path | None = None,
+    store: CoreStore | None = None,
 ) -> tuple[dict, list]:
-    """Map one scenario; returns (summary, serialized winning mapping)."""
-    from repro.frontend.loader import load_model
+    """Map one scenario; returns (summary, serialized winning mapping).
+
+    ``store`` is the sweep's core store (``None``: a fresh one, as
+    for a sweep of this one scenario).
+    """
     from repro.io.serialization import lms_to_dict
     from repro.obs.trace import trace
 
+    if store is None:
+        store = CoreStore(SWEEP_PART_RECORDS)
     with trace("scenario", scenario=scenario.name, model=scenario.model,
                batch=scenario.batch):
         arch = scenario_arch(scenario)
-        graph, report = load_model(scenario.model)
+        graph, report = store.load_model(scenario.model)
         engine = MappingEngine(
             arch,
             settings=MappingEngineSettings(
                 sa=SASettings(iterations=scenario.iters, seed=scenario.seed)
             ),
+            store=store,
         )
         result = engine.map(graph, scenario.batch)
     summary = {**asdict(scenario), "model_name": graph.name,
@@ -202,13 +228,13 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> dict:
     return _run_scenario_full(scenario, out_dir)[0]
 
 
-def _sweep_task(_explorer, _index: int, scenario: Scenario,
+def _sweep_task(store: CoreStore | None, _index: int, scenario: Scenario,
                 out_dir: str | None) -> tuple[dict, list]:
-    """Dispatcher task body of one scenario (see
-    :func:`repro.dse.pool.run_tasks`).  ``_run_scenario_full`` is
-    looked up at call time, so a wrapped or patched module attribute is
-    what runs, in a worker as in-process."""
-    return _run_scenario_full(scenario, out_dir)
+    """Dispatcher task body of one scenario, run against the sweep's
+    core store (see :func:`repro.dse.pool.run_tasks`).
+    ``_run_scenario_full`` is looked up at call time, so a wrapped or
+    patched module attribute is what runs, in a worker as in-process."""
+    return _run_scenario_full(scenario, out_dir, store)
 
 
 #: Column order of sweep.csv (stable for downstream tooling).
@@ -247,19 +273,22 @@ def _materialize_hit(
                      sc_dir / "mapping.json")
 
 
-def _scenario_keys(scenarios: list[Scenario]) -> dict[str, str]:
-    """Content key per scenario name (arch + workload + search budget).
+def _scenario_keys(scenarios: list[Scenario],
+                   store: CoreStore | None = None) -> dict[str, str]:
+    """Content key per scenario name (arch + workload + search budget),
+    loading each model through ``store`` (default: a fresh one).
 
     The scenario *name* is cosmetic and deliberately not part of the
     key: renaming a scenario must not force a re-evaluation.
     """
     from repro.campaign.keys import scenario_key
-    from repro.frontend.loader import load_model
 
+    if store is None:
+        store = CoreStore(SWEEP_PART_RECORDS)
     keys = {}
     for sc in scenarios:
         arch = scenario_arch(sc)
-        graph, _ = load_model(sc.model)
+        graph, _ = store.load_model(sc.model)
         keys[sc.name] = scenario_key(
             arch, graph, sc.batch, sc.iters, sc.seed
         )
@@ -287,7 +316,8 @@ def run_sweep(
     ``sweep.evaluated`` in :data:`~repro.perf.PERF`).
 
     Scenarios run through the supervised dispatcher
-    (:func:`repro.dse.pool.run_tasks`, on a pool built for this call)
+    (:func:`repro.dse.pool.run_tasks`, on a pool built for this call
+    whose workers share this call's core store, see the module doc)
     under the default ``RetryPolicy``: a crashed worker is contained,
     every other scenario still completes and is checkpointed, and then
     the first failure in scenario order is raised as a ``ReproError``
@@ -316,6 +346,7 @@ def run_sweep(
         workers = os.cpu_count() or 1
     out_str = None if out_dir is None else str(out_dir)
 
+    core_store = CoreStore(SWEEP_PART_RECORDS)
     store = keys = None
     slots: dict[str, dict] = {}
     pending = list(enumerate(scenarios))
@@ -323,7 +354,7 @@ def run_sweep(
         from repro.campaign.store import KIND_SCENARIO, ResultStore
 
         store = ResultStore(Path(out_dir) / "store")
-        keys = _scenario_keys(scenarios)
+        keys = _scenario_keys(scenarios, core_store)
         pending = []
         for i, sc in enumerate(scenarios):
             rec = store.get(KIND_SCENARIO, keys[sc.name])
@@ -352,7 +383,7 @@ def run_sweep(
     try:
         run_tasks(
             [(i, _sweep_task, (sc, out_str)) for i, sc in pending],
-            workers, checkpoint,
+            workers, checkpoint, context=core_store,
             label=lambda i: f"scenario {scenarios[i].name!r}",
         )
     finally:

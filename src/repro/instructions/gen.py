@@ -9,13 +9,11 @@ its round with a SYNC barrier.
 
 from __future__ import annotations
 
-from repro.arch.energy import DEFAULT_ENERGY
 from repro.arch.params import ArchConfig
 from repro.fabric import Topology
 from repro.core.encoding import LayerGroupMapping
 from repro.evalmodel.evaluator import Evaluator
 from repro.instructions.isa import CoreProgram, Instruction, Opcode
-from repro.intracore.cache import IntraCoreEngine
 from repro.workloads.graph import DNNGraph
 
 
@@ -24,18 +22,10 @@ def generate_programs(
     lms: LayerGroupMapping,
     arch: ArchConfig,
     topo: Topology | None = None,
-    intracore: IntraCoreEngine | None = None,
     stored_at: dict[str, int] | None = None,
 ) -> dict[int, CoreProgram]:
-    """Static round programs for every core used by the group.
-
-    ``intracore`` must be an engine for ``arch``'s core (see
-    :class:`~repro.evalmodel.evaluator.Evaluator`).
-    """
-    evaluator = Evaluator(
-        arch, topo=topo, intracore=intracore,
-        energy=DEFAULT_ENERGY if intracore is None else intracore.energy,
-    )
+    """Static round programs for every core used by the group."""
+    evaluator = Evaluator(arch, topo=topo)
     topo = evaluator.topo
     parsed, _, traffic = evaluator.analyze_group(
         graph, lms, stored_at, flows=True

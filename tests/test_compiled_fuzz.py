@@ -20,11 +20,19 @@ The same states pin the oracle's flow collection: listing every
 transfer must leave link volumes and DRAM tallies bit-identical, so the
 event simulator, fed those flows, checks the very bound the search
 optimizes (its stage time equals the evaluator's, checked on each
-walk's last state).
+walk's last state).  The listed flows must also account for every byte
+of those sums, to a relative 1e-9: the round's link volumes sum to each
+flow's bytes times the links it loads (a multicast's bytes load each
+link of its routes' union once), each DRAM's read and write tallies to
+the bytes of the round's flows starting or ending there, and the
+once-per-inference weight loads to their own tally and tree hop bytes.
 """
 
+import math
 import random
 from dataclasses import replace
+
+import numpy as np
 
 import pytest
 
@@ -95,7 +103,8 @@ def _features(ceval, lms, cov):
 
 
 def _assert_flows_change_no_bits(oracle, graph, lms, stored, context):
-    """Flow collection only lists transfers beside the traffic sums."""
+    """Flow collection only lists transfers beside the traffic sums;
+    returns the traffic with flows."""
     on = oracle.analyze_group(graph, lms, stored, flows=True)[2]
     off = oracle.analyze_group(graph, lms, stored)[2]
     assert on.flows and off.flows is None, context
@@ -104,6 +113,52 @@ def _assert_flows_change_no_bits(oracle, graph, lms, stored, context):
     for tally in ("dram_read", "dram_write", "dram_weight_once"):
         assert getattr(on, tally).tobytes() == \
             getattr(off, tally).tobytes(), (tally, context)
+    return on
+
+
+def _assert_flows_conserve_bytes(topo, traffic, context):
+    """The flow records account for every byte of the traffic sums (see
+    the module doc).  Records sharing a multicast id are one transfer:
+    the same bytes from one DRAM, loading the union of their routes."""
+    n_dram = len(traffic.dram_read)
+    link_bytes = hop_bytes = 0.0
+    tallies = {name: np.zeros(n_dram)
+               for name in ("dram_read", "dram_write", "dram_weight_once")}
+    groups: dict[int, tuple] = {}
+    for f in traffic.flows:
+        route = topo.route(f.src, f.dst)
+        if f.multicast_group is not None:
+            volume, src, once, links = groups.setdefault(
+                f.multicast_group, (f.volume, f.src, f.once, set()))
+            assert (volume, src, once) == (f.volume, f.src, f.once), context
+            links.update(route)
+            continue
+        assert not f.once, context
+        link_bytes += f.volume * len(route)
+        if f.src[0] == "dram":
+            tallies["dram_read"][f.src[1]] += f.volume
+        if f.dst[0] == "dram":
+            tallies["dram_write"][f.dst[1]] += f.volume
+    for volume, src, once, links in groups.values():
+        assert src[0] == "dram", context
+        if once:
+            hop_bytes += volume * len(links)
+            tallies["dram_weight_once"][src[1]] += volume
+        else:
+            link_bytes += volume * len(links)
+            tallies["dram_read"][src[1]] += volume
+
+    def close(got, want):
+        return math.isclose(got, want, rel_tol=1e-9)
+
+    assert close(link_bytes, float(traffic.traffic.volumes.sum())), \
+        ("link volumes", link_bytes, traffic.traffic.volumes.sum(), context)
+    assert close(hop_bytes, traffic.weight_tree_hop_bytes), \
+        ("weight tree hops", context)
+    for name, want in tallies.items():
+        got = getattr(traffic, name)
+        for d in range(n_dram):
+            assert close(want[d], float(got[d])), (name, d, context)
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +198,11 @@ def _fuzz_case(graph, groups, arch, seed, cov, used):
                 production.evaluate_group(graph, lms, BATCH, stored),
                 expected[k], f"{seed} group {gi} state {k}",
             )
-            _assert_flows_change_no_bits(
+            on = _assert_flows_change_no_bits(
                 oracle, graph, lms, stored, f"{seed} group {gi} state {k}"
+            )
+            _assert_flows_conserve_bytes(
+                oracle.topo, on, f"{seed} group {gi} state {k}"
             )
         analytic = simulate_group_round(
             graph, arch, states[-1], topo=production.topo, stored_at=stored

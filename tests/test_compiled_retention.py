@@ -10,7 +10,9 @@ Two rules keep those entries small:
 * a cached DRAM-read slice at a layer's first input position
   (``op_idx == 0``) keeps its per-target link rows pre-folded into one
   row.  The block fold adds that slice's rows first, from zero, so the
-  one row holds exactly the bits the fold reaches after them.
+  one row holds exactly the bits the fold reaches after them;
+* a cached DRAM-read slice's tally owns its arrays: a view of a
+  temporary would keep the whole temporary alive with the entry.
 
 The oracle cases pin the second rule on every fabric, for layers whose
 first input is an interleaved read (every DRAM a target), both alone
@@ -177,3 +179,11 @@ def test_first_dram_slices_keep_one_row(walked):
         assert rows.shape == ((1 if first else n_targets), walked.n_links)
     # Both kinds were staged: first inputs pre-folded, later ones not.
     assert rows_kept[True] and rows_kept[False], rows_kept
+
+
+def test_dram_tallies_own_their_data(walked):
+    tallies = [dram for _, dram in walked.slice_flows.values()
+               if dram is not None]
+    assert tallies
+    for per_dram, totals in tallies:
+        assert per_dram.base is None and totals.base is None

@@ -106,12 +106,12 @@ def kind(request, model_path):
 def drill(kind, spec):
     """A clean in-process dispatch, then a chaotic 2-worker one."""
     tasks, explorer = kind
-    clean = Recorder().run(tasks, 1, explorer=explorer)
+    clean = Recorder().run(tasks, 1, context=explorer)
     assert sorted(clean.results) == list(range(len(tasks)))
     assert "worker_died" not in clean.events
     PERF.reset()
     with parse_chaos(spec):
-        faulty = Recorder().run(tasks, 2, explorer=explorer, policy=POLICY)
+        faulty = Recorder().run(tasks, 2, context=explorer, policy=POLICY)
     return clean, faulty
 
 
@@ -172,7 +172,7 @@ class _FakeExplorer:
 
 def fake_run(outcomes, on_result, **kwargs):
     tasks = [(i, None, ()) for i in range(len(outcomes))]
-    run_tasks(tasks, 2, on_result, explorer=_FakeExplorer(outcomes),
+    run_tasks(tasks, 2, on_result, context=_FakeExplorer(outcomes),
               **kwargs)
 
 

@@ -3,7 +3,9 @@ bit-identity, cross-fabric evaluation identity, and serialization."""
 
 import json
 from dataclasses import replace
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro.arch import ArchConfig, build_topology, g_arch
@@ -23,8 +25,12 @@ from repro.fabric import (
     parse_fabric,
     register_fabric,
 )
+from repro.fabric.base import _ROUTE_MEMO, ROUTE_STRUCTURES
+from repro.fabric.spec import ROUTING_POLICIES
 from repro.io.serialization import arch_from_dict, arch_to_dict
-from repro.units import GB, MB
+from repro.units import GB, KB, MB
+from repro.workloads.graph import DNNGraph
+from repro.workloads.layer import Layer, LayerType
 from repro.workloads.models import build
 
 
@@ -370,9 +376,11 @@ class TestScenarioFabric:
 
 class TestPerfSurface:
     def test_route_table_build_timed_per_fabric(self):
+        from repro.fabric.base import _ROUTE_MEMO
         from repro.perf import PERF
 
         PERF.reset()
+        _ROUTE_MEMO.clear()  # tables are shared per process
         a = apply_fabric(g_arch(), "ring")
         topo = build_topology(a)
         topo.core_route_table()
@@ -392,3 +400,92 @@ class TestPerfSurface:
         stats = PERF.cache_stats()
         assert stats["fabric.route"]["hits"] >= 1
         assert stats["fabric.route"]["misses"] >= 1
+
+
+def tiny_graph():
+    g = DNNGraph("tiny")
+    g.add_layer(Layer("c0", LayerType.CONV, out_h=8, out_w=8, out_k=32,
+                      in_c=16, kernel_r=3, kernel_s=3, pad_h=1, pad_w=1))
+    g.add_layer(Layer("c1", LayerType.CONV, out_h=8, out_w=8, out_k=32,
+                      in_c=32, kernel_r=1, kernel_s=1), inputs=["c0"])
+    return g
+
+
+#: Every registered fabric kind under every routing policy.
+ROUTED = [
+    FabricSpec(kind=kind, routing=routing,
+               concentration=2 if kind == "cmesh" else 1)
+    for kind in sorted(FABRIC_REGISTRY) for routing in ROUTING_POLICIES
+]
+#: Arch changes that keep the fabric structure: chiplet cuts,
+#: bandwidths, GLB size and MACs.
+SAME_STRUCTURE = (
+    dict(),
+    dict(xcut=1, ycut=1),
+    dict(xcut=2, ycut=2),
+    dict(noc_bw=64 * GB, d2d_bw=8 * GB),
+    dict(glb_bytes=256 * KB),
+    dict(macs_per_core=512),
+)
+
+
+def served_arrays(a, graph):
+    """Every array the route memo serves for ``a``: the topology's route
+    tables and the compiled core's bitsets and stacked DRAM tables."""
+    evaluator = Evaluator(a)
+    ceval = evaluator.compiled_for(graph)
+    return (*evaluator.topo.core_route_table(),
+            *evaluator.topo.dram_route_tables(),
+            ceval.core_table, ceval.core_lens, ceval.route_words,
+            *(arr for tables in ceval._dram_tables for arr in tables))
+
+
+@pytest.fixture
+def empty_memo():
+    _ROUTE_MEMO.clear()
+    yield
+    _ROUTE_MEMO.clear()
+
+
+class TestRouteMemo:
+    @pytest.mark.parametrize("spec", ROUTED, ids=format_fabric)
+    def test_served_tables_equal_a_fresh_build(self, spec, empty_memo):
+        graph = tiny_graph()
+        variants = [replace(arch(**kw), fabric=spec) for kw in SAME_STRUCTURE]
+        served = [served_arrays(a, graph) for a in variants]
+        # One build serves every variant.
+        for got in served[1:]:
+            assert all(x is y for x, y in zip(got, served[0]))
+        for a, got in zip(variants, served):
+            _ROUTE_MEMO.clear()
+            fresh = served_arrays(a, graph)
+            assert len(fresh) == len(got)
+            for x, y in zip(got, fresh):
+                assert x is not y
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_different_structures_never_share(self, empty_memo):
+        graph = tiny_graph()
+        base = arch()
+        archs = [
+            base,
+            apply_fabric(base, "mesh:yx"),
+            apply_fabric(base, "folded-torus"),
+            apply_fabric(base, "folded-torus:wrap=x"),
+            apply_fabric(base, "cmesh:c2"),
+            apply_fabric(base, "ring"),
+            replace(base, cores_x=8),
+            replace(base, cores_y=2, ycut=1),
+            replace(base, dram_bw=128 * GB),
+        ]
+        keys = {build_topology(a).structure_key() for a in archs}
+        assert len(keys) == len(archs)
+        served = [served_arrays(a, graph) for a in archs]
+        for i, j in combinations(range(len(archs)), 2):
+            assert not any(x is y for x in served[i] for y in served[j])
+        assert len(_ROUTE_MEMO) == ROUTE_STRUCTURES
+
+    def test_served_arrays_are_read_only(self, empty_memo):
+        for x in served_arrays(arch(), tiny_graph()):
+            with pytest.raises(ValueError, match="read-only"):
+                x.flat[0] = x.flat[0]

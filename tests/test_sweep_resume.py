@@ -103,10 +103,10 @@ class TestSweepResume:
         scenarios = [scen(model_path, "a", 1), scen(model_path, "b", 2)]
         real = sc_mod._run_scenario_full
 
-        def explode_on_b(scenario, out_dir=None):
+        def explode_on_b(scenario, *args):
             if scenario.name == "b":
                 raise RuntimeError("killed mid-sweep")
-            return real(scenario, out_dir)
+            return real(scenario, *args)
 
         monkeypatch.setattr(sc_mod, "_run_scenario_full", explode_on_b)
         with pytest.raises(RuntimeError):
