@@ -86,6 +86,8 @@ class ResultStore:
         self._records.clear()
         self._locations.clear()
         self._skipped_lines = 0
+        #: Whether ``index.json`` was written from the current state.
+        self._indexed = False
         for seg in sorted(self.segments_dir.glob("*.jsonl")):
             self._scan_segment(seg)
 
@@ -146,6 +148,7 @@ class ResultStore:
                 raise
             self._records[(kind, key)] = payload
             self._locations[(kind, key)] = self._segment_path.name
+            self._indexed = False
 
     def _rotate_segment(self) -> None:
         """Abandon the current segment file and start a fresh one."""
@@ -246,10 +249,12 @@ class ResultStore:
         for (kind, key), seg in sorted(self._locations.items()):
             index["keys"].setdefault(kind, {})[key] = seg
         try:
-            return atomic_write_json(self.root / "index.json", index)
+            path = atomic_write_json(self.root / "index.json", index)
         except OSError:
             PERF.add("store.index.errors")
             return None
+        self._indexed = True
+        return path
 
     # -- lifecycle -----------------------------------------------------
 
@@ -258,7 +263,9 @@ class ResultStore:
             self._fh.close()
             self._fh = None
         # An unused writer never created its segment; don't index it.
-        self.write_index()
+        # An index already written from this state is not rewritten.
+        if not self._indexed:
+            self.write_index()
 
     def __enter__(self) -> "ResultStore":
         return self
