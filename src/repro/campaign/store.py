@@ -86,8 +86,6 @@ class ResultStore:
         self._records.clear()
         self._locations.clear()
         self._skipped_lines = 0
-        #: Whether ``index.json`` was written from the current state.
-        self._indexed = False
         for seg in sorted(self.segments_dir.glob("*.jsonl")):
             self._scan_segment(seg)
 
@@ -148,7 +146,6 @@ class ResultStore:
                 raise
             self._records[(kind, key)] = payload
             self._locations[(kind, key)] = self._segment_path.name
-            self._indexed = False
 
     def _rotate_segment(self) -> None:
         """Abandon the current segment file and start a fresh one."""
@@ -249,12 +246,10 @@ class ResultStore:
         for (kind, key), seg in sorted(self._locations.items()):
             index["keys"].setdefault(kind, {})[key] = seg
         try:
-            path = atomic_write_json(self.root / "index.json", index)
+            return atomic_write_json(self.root / "index.json", index)
         except OSError:
             PERF.add("store.index.errors")
             return None
-        self._indexed = True
-        return path
 
     # -- lifecycle -----------------------------------------------------
 
@@ -263,9 +258,7 @@ class ResultStore:
             self._fh.close()
             self._fh = None
         # An unused writer never created its segment; don't index it.
-        # An index already written from this state is not rewritten.
-        if not self._indexed:
-            self.write_index()
+        self.write_index()
 
     def __enter__(self) -> "ResultStore":
         return self

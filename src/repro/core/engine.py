@@ -18,7 +18,11 @@ from repro.arch.energy import DEFAULT_ENERGY, EnergyModel
 from repro.arch.params import ArchConfig
 from repro.fabric import Topology
 from repro.core.encoding import LayerGroup, LayerGroupMapping, validate_lms
-from repro.core.graphpart import partition_graph
+from repro.core.graphpart import (
+    PartitionInputs,
+    partition_graph,
+    partition_inputs,
+)
 from repro.core.initial import initial_lms
 from repro.core.sa import SAController, SASettings, SAStats
 from repro.evalmodel.breakdown import MappingEval
@@ -68,6 +72,19 @@ class MappingEngineSettings:
     restarts: int = 1
 
 
+def _initial_mapping(
+    graph: DNNGraph, batch: int, max_group_layers: int,
+    arch: PartitionInputs,
+) -> list[LayerGroupMapping]:
+    groups = partition_graph(
+        graph, arch, batch, max_group_layers=max_group_layers,
+    )
+    lmss = [initial_lms(graph, g, arch) for g in groups]
+    for lms in lmss:
+        validate_lms(graph, lms, arch.n_cores, arch.n_dram)
+    return lmss
+
+
 class MappingEngine:
     """Gemini's Mapping Engine bound to one architecture.
 
@@ -99,31 +116,16 @@ class MappingEngine:
         """Graph partition + stripe heuristic (the T-Map baseline).
 
         With a store, memoized by everything it reads: the graph, the
-        batch, ``max_group_layers`` and the arch's core count and grid,
-        peak MAC rate, DRAM bandwidth and DRAM count — not its
-        interconnect, chiplet cuts, NoC/D2D bandwidths or GLB size.
+        batch, ``max_group_layers`` and the arch's
+        :class:`~repro.core.graphpart.PartitionInputs`.
         """
+        key = (graph, batch, self.settings.max_group_layers,
+               partition_inputs(self.arch))
         if self.store is None:
-            return self._initial_mapping(graph, batch)
-        arch = self.arch
-        key = (graph, batch, self.settings.max_group_layers, arch.n_cores,
-               arch.cores_x, arch.cores_y, arch.peak_macs_per_s,
-               arch.dram_bw, arch.n_dram)
+            return _initial_mapping(*key)
         return list(self.store.initial_mapping(
-            key, lambda: self._initial_mapping(graph, batch)
+            key, lambda: _initial_mapping(*key)
         ))
-
-    def _initial_mapping(
-        self, graph: DNNGraph, batch: int
-    ) -> list[LayerGroupMapping]:
-        groups = partition_graph(
-            graph, self.arch, batch,
-            max_group_layers=self.settings.max_group_layers,
-        )
-        lmss = [initial_lms(graph, g, self.arch) for g in groups]
-        for lms in lmss:
-            validate_lms(graph, lms, self.arch.n_cores, self.arch.n_dram)
-        return lmss
 
     def _check_initial(
         self, graph: DNNGraph, lmss: list[LayerGroupMapping]

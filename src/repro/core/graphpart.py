@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.arch.energy import DEFAULT_ENERGY, EnergyModel
 from repro.arch.params import ArchConfig
@@ -45,6 +46,33 @@ class GroupEstimate:
         return self.energy + self.ref_power * self.delay
 
 
+class PartitionInputs(NamedTuple):
+    """The arch fields graph partitioning and the stripe heuristic read.
+
+    :func:`partition_graph`, :func:`estimate_group_cost` and
+    :func:`~repro.core.initial.initial_lms` read the arch only through
+    this view, so a field they do not list here raises
+    ``AttributeError``.  It is also part of the key under which a
+    :class:`~repro.core.store.CoreStore` memoizes initial mappings:
+    cuts, NoC/D2D bandwidths, GLB size and the fabric are not in it.
+    """
+
+    n_cores: int
+    cores_x: int
+    cores_y: int
+    peak_macs_per_s: float
+    dram_bw: float
+    n_dram: int
+
+
+def partition_inputs(arch: ArchConfig | PartitionInputs) -> PartitionInputs:
+    """``arch``'s :class:`PartitionInputs` (a view passes through)."""
+    if isinstance(arch, PartitionInputs):
+        return arch
+    return PartitionInputs(arch.n_cores, arch.cores_x, arch.cores_y,
+                           arch.peak_macs_per_s, arch.dram_bw, arch.n_dram)
+
+
 def _candidate_units(batch: int) -> list[int]:
     units = [u for u in (1, 2, 4, 8, 16, 32, 64) if u <= batch]
     return units or [1]
@@ -53,11 +81,12 @@ def _candidate_units(batch: int) -> list[int]:
 def estimate_group_cost(
     graph: DNNGraph,
     names: list[str],
-    arch: ArchConfig,
+    arch: ArchConfig | PartitionInputs,
     batch: int,
     energy: EnergyModel = DEFAULT_ENERGY,
 ) -> GroupEstimate:
     """Best-batch-unit analytic estimate for a contiguous group."""
+    arch = partition_inputs(arch)
     inside = set(names)
     total_weights = sum(graph.layer(n).weight_bytes() for n in names)
     ref_power = arch.peak_macs_per_s * energy.e_mac
@@ -98,7 +127,7 @@ def estimate_group_cost(
 def _segment_pricer(
     graph: DNNGraph,
     order: list[str],
-    arch: ArchConfig,
+    arch: PartitionInputs,
     batch: int,
     energy: EnergyModel,
 ):
@@ -185,12 +214,13 @@ def _segment_pricer(
 
 def partition_graph(
     graph: DNNGraph,
-    arch: ArchConfig,
+    arch: ArchConfig | PartitionInputs,
     batch: int,
     max_group_layers: int = 10,
     energy: EnergyModel = DEFAULT_ENERGY,
 ) -> list[LayerGroup]:
     """Segment the topological order into layer groups by DP."""
+    arch = partition_inputs(arch)
     if batch < 1:
         raise InvalidWorkloadError(f"batch must be >= 1, got {batch}")
     order = graph.topological_order()

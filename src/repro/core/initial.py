@@ -24,6 +24,7 @@ from repro.core.encoding import (
     Partition,
     fd_requirements,
 )
+from repro.core.graphpart import PartitionInputs, partition_inputs
 from repro.errors import InvalidMappingError
 from repro.workloads.graph import DNNGraph
 from repro.workloads.layer import Layer
@@ -137,9 +138,10 @@ def default_fd(graph: DNNGraph, group: LayerGroup, name: str) -> FlowOfData:
 
 
 def initial_lms(
-    graph: DNNGraph, group: LayerGroup, arch: ArchConfig
+    graph: DNNGraph, group: LayerGroup, arch: ArchConfig | PartitionInputs
 ) -> LayerGroupMapping:
     """Build the stripe-based heuristic scheme for a layer group."""
+    arch = partition_inputs(arch)
     names = list(group.layers)
     macs = [graph.layer(n).macs(group.batch_unit) for n in names]
     shares = allocate_cores([float(m) for m in macs], arch.n_cores)

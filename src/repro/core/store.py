@@ -13,10 +13,10 @@ the store keeps
 * one bounded LRU of the compiled core's partition records
   (``compiled.parts``), keyed by intra-core engine and graph;
 * each model source loaded once (:meth:`CoreStore.load_model`), so the
-  graph objects those record keys carry match across scenarios, and
-  each graph's compiled tables looked up once;
+  graph objects those record keys carry match across scenarios;
 * the graph-partition + stripe-heuristic initial mappings, keyed by
-  what :meth:`~repro.core.engine.MappingEngine.initial_mapping` reads.
+  what :meth:`~repro.core.engine.MappingEngine.initial_mapping` reads
+  (:class:`~repro.core.graphpart.PartitionInputs`).
 
 The store reaches pool workers through the pool's initializer: fork
 workers inherit the parent's copy, spawn workers unpickle an empty
@@ -24,8 +24,6 @@ store with the same caps.  Each process's store then grows on its own.
 """
 
 from __future__ import annotations
-
-from weakref import WeakKeyDictionary
 
 from repro.intracore.cache import IntraCoreEngine, core_key
 from repro.perf import LruDict
@@ -52,7 +50,6 @@ class CoreStore:
         #: The compiled core's shared partition records.
         self.parts = LruDict(part_records, name="compiled.parts")
         self._models: dict[str, tuple] = {}
-        self._compiled: WeakKeyDictionary = WeakKeyDictionary()
         self._initial = LruDict(INITIAL_MAPPINGS)
 
     def __getstate__(self):
@@ -80,15 +77,6 @@ class CoreStore:
             from repro.frontend import loader
 
             got = self._models[source] = loader.load_model(source)
-        return got
-
-    def compiled_graph(self, graph):
-        """``graph``'s :class:`~repro.compiled.CompiledGraph`."""
-        got = self._compiled.get(graph)
-        if got is None:
-            from repro import compiled
-
-            got = self._compiled[graph] = compiled.compile_graph(graph)
         return got
 
     def initial_mapping(self, key: tuple, build) -> list:

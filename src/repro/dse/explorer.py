@@ -182,15 +182,16 @@ class DesignSpaceExplorer:
     # ------------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Compile every workload's graph tables into the store
-        (idempotent).
+        """Compile every workload's graph tables (idempotent).
 
         Called in the parent before pool workers exist so fork-based
         workers inherit the compiled tables instead of building their
         own (spawn-based workers build theirs on first use).
         """
+        from repro.compiled import compile_graph
+
         for wl in self.workloads:
-            self.store.compiled_graph(wl.graph)
+            compile_graph(wl.graph)
 
     def pool(self, workers: int):
         """The persistent worker pool, grown on demand.

@@ -119,9 +119,7 @@ class Evaluator:
         if ce is None:
             from repro.compiled import CompiledEval, compile_graph
 
-            cgraph = (compile_graph(graph) if self.store is None
-                      else self.store.compiled_graph(graph))
-            ce = CompiledEval(self, cgraph, graph)
+            ce = CompiledEval(self, compile_graph(graph), graph)
             self._compiled[graph] = ce
         return ce
 

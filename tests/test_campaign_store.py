@@ -115,29 +115,3 @@ class TestIndex:
         (tmp_path / "index.json").unlink()
         fresh = ResultStore(tmp_path)
         assert fresh.get(KIND_CANDIDATE, "k") == {"v": 1}
-
-    def test_close_rewrites_only_a_stale_index(self, tmp_path, monkeypatch):
-        from repro.campaign import store as store_mod
-
-        written = []
-        real = store_mod.atomic_write_json
-
-        def spy(path, data):
-            written.append(sorted(data["keys"].get(KIND_CANDIDATE, {})))
-            return real(path, data)
-
-        monkeypatch.setattr(store_mod, "atomic_write_json", spy)
-        store = ResultStore(tmp_path)
-        store.put(KIND_CANDIDATE, "a", {"v": 1})
-        store.write_index()
-        store.close()  # the index on disk is current
-        assert written == [["a"]]
-        store = ResultStore(tmp_path)
-        store.close()  # a fresh scan is indexed once
-        store = ResultStore(tmp_path)
-        store.write_index()
-        store.put(KIND_CANDIDATE, "b", {"v": 2})
-        store.close()  # a put since the last write
-        assert written == [["a"], ["a"], ["a"], ["a", "b"]]
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert index["counts"] == {KIND_CANDIDATE: 2}

@@ -20,6 +20,7 @@ import repro.frontend.loader as loader_mod
 from repro.arch.energy import DEFAULT_ENERGY
 from repro.arch.params import ArchConfig
 from repro.core.engine import MappingEngine, MappingEngineSettings
+from repro.core.graphpart import PartitionInputs, partition_inputs
 from repro.core.sa import SASettings
 from repro.core.store import CoreStore
 from repro.dse import DesignSpaceExplorer, Workload
@@ -232,6 +233,30 @@ class TestInitialMappings:
         got = initial(INITIAL_BASE, store)
         got.clear()
         assert initial(INITIAL_BASE, store)
+
+    def test_builders_read_the_arch_only_through_the_key(self, monkeypatch):
+        """The partitioner and the stripe heuristic get the arch as the
+        key's :class:`PartitionInputs`, so a field outside the key
+        cannot be read."""
+        seen = []
+
+        def spy(fn, at):
+            def wrapper(*args, **kwargs):
+                seen.append(args[at])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine_mod, "partition_graph", spy(
+            engine_mod.partition_graph, 1))
+        monkeypatch.setattr(engine_mod, "initial_lms", spy(
+            engine_mod.initial_lms, 2))
+        store = CoreStore(8)
+        initial(INITIAL_BASE, store)
+        view = partition_inputs(BASE)
+        assert len(seen) > 1
+        assert all(type(a) is PartitionInputs and a == view for a in seen)
+        [key] = store._initial
+        assert key[-1] == view
 
 
 class TestBenchContract:

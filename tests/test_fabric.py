@@ -376,7 +376,6 @@ class TestScenarioFabric:
 
 class TestPerfSurface:
     def test_route_table_build_timed_per_fabric(self):
-        from repro.fabric.base import _ROUTE_MEMO
         from repro.perf import PERF
 
         PERF.reset()
