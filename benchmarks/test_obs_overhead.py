@@ -303,8 +303,8 @@ def test_fault_overhead_guard(tf_model):
     t0 = time.process_time()
     for i in range(n_sup):
         deadline = time.monotonic() + policy.timeout_s
-        inflight[i] = ((i, None, None), 1, deadline, False)
-        bounds = [d for _, _, d, _ in inflight.values() if d is not None]
+        inflight[i] = ((i, None, None), 1, deadline)
+        bounds = [d for _, _, d in inflight.values() if d is not None]
         min(bounds)
         inflight.pop(i)
     cost_armed = (time.process_time() - t0) / n_sup

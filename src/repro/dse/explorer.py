@@ -417,16 +417,12 @@ class DesignSpaceExplorer:
         self,
         candidates: list[ArchConfig],
         workers: int | None = 1,
-        force_pool: bool = False,
     ) -> DseReport:
         """Explore every candidate; ``workers`` > 1 uses a process pool.
 
-        ``workers=None`` uses every available CPU.  ``force_pool``
-        dispatches through the persistent pool even for one worker —
-        how the benchmark measures pure dispatch overhead on
-        single-CPU machines.  Results (order, scores, winning
-        candidate) are identical for any worker count; only
-        ``wall_time_s`` depends on the machine.
+        ``workers=None`` uses every available CPU.  Results (order,
+        scores, winning candidate) are identical for any worker count;
+        only ``wall_time_s`` depends on the machine.
 
         Candidates run through the supervised dispatcher
         (:func:`repro.dse.pool.run_tasks`) under the default
@@ -454,7 +450,7 @@ class DesignSpaceExplorer:
             run_tasks(
                 [(i, evaluate_task, (arch,))
                  for i, arch in enumerate(candidates)],
-                workers, collect, context=self, force_pool=force_pool,
+                workers, collect, context=self,
             )
         best = min(results, key=lambda r: r.score)
         return DseReport(

@@ -25,17 +25,17 @@ back one way too: each task returns its outcome with the worker's
 :func:`run_tasks` merges them into the parent's ``PERF`` and
 ``TRACER``.
 
-The pool is also *supervisable*: a SIGKILL'd or hung worker breaks a
-``ProcessPoolExecutor`` permanently (every outstanding future raises
-``BrokenProcessPool`` and the executor refuses new work), so
-:meth:`PersistentEvalPool.respawn` tears the broken executor down —
-force-killing any still-running workers, which is the only way to
-clear a hung task — and builds a fresh one bound to the same context.
+The pool is also *supervisable*: each worker is its own single-worker
+``ProcessPoolExecutor`` running one task at a time, so a SIGKILL'd or
+hung worker holds up only its own task, and
+:meth:`PersistentEvalPool.respawn` replaces that worker alone —
+force-killing it if it still runs, which is the only way to clear a
+hung task — with a fresh one bound to the same context.
 
 Nothing global holds a pool's context: an explorer dropped without
-``close()`` forms a collectable cycle with its pool's executor (through
-the initializer arguments), and CPython's executor shuts its workers
-down when the cycle is collected.
+``close()`` forms a collectable cycle with its pool's executors
+(through the initializer arguments), and CPython's executor shuts its
+worker down when the cycle is collected.
 
 The context must be treated as immutable once a pool exists — workers
 saw its state at fork/spawn time (a core store only grows per process).
@@ -145,57 +145,78 @@ class PersistentEvalPool:
         self.workers = workers
         self._context = context
         self.start_method = pool_start_method()
-        self._pool = self._spawn_executor()
+        self._executors = [self._spawn_executor() for _ in range(workers)]
+        # Each worker's last task; a worker is idle once it is done.
+        self._running: list[Future | None] = [None] * workers
         PERF.add("dse.pool.created")
 
     def _spawn_executor(self) -> ProcessPoolExecutor:
-        # The chaos hook is captured here so a respawned executor's
-        # workers re-arm it — under fork they would inherit it anyway,
-        # under spawn it must ride the initargs.
+        # The chaos hook is captured here so a respawned worker re-arms
+        # it — under fork it would inherit it anyway, under spawn it
+        # must ride the initargs.
         return ProcessPoolExecutor(
-            max_workers=self.workers,
+            max_workers=1,
             mp_context=mp.get_context(self.start_method),
             initializer=_init_worker,
             initargs=(self._context, explorer_mod._EVAL_HOOK),
         )
 
-    def respawn(self) -> None:
-        """Replace a broken (or hung) executor with a fresh one.
-
-        Outstanding futures of the old executor are abandoned: a broken
-        executor has already failed them with ``BrokenProcessPool``,
-        and a hung worker only dies by force — the dispatcher decides
-        which of its tasks get re-dispatched.
-        """
-        _kill_workers(self._pool)
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = self._spawn_executor()
+    def _replace(self, slot: int) -> None:
+        executor = self._executors[slot]
+        _kill_workers(executor)
+        executor.shutdown(wait=False, cancel_futures=True)
+        self._executors[slot] = self._spawn_executor()
+        self._running[slot] = None
         PERF.add("dse.pool.respawned")
 
+    def respawn(self, fut: Future) -> None:
+        """Replace the worker that ran ``fut`` (dead, hung, or running
+        a task nobody waits for); ``fut`` is abandoned.  A dead worker
+        that :meth:`submit` has replaced already is left as it is."""
+        if fut in self._running:
+            self._replace(self._running.index(fut))
+
     def submit(self, task) -> Future:
-        """Dispatch one ``(index, fn, args, attempt)`` task to the
-        worker entry; the future yields ``(outcome, perf_snapshot,
+        """Dispatch one ``(index, fn, args, attempt)`` task to an idle
+        worker's entry; the future yields ``(outcome, perf_snapshot,
         spans)``."""
         PERF.add("dse.pool.dispatched")
-        return self._pool.submit(_run_in_worker, task)
+        slot = next(i for i, fut in enumerate(self._running)
+                    if fut is None or fut.done())
+        try:
+            fut = self._executors[slot].submit(_run_in_worker, task)
+        except BrokenProcessPool:
+            # The worker died while idle (nobody's fault), or under a
+            # task whose future the dispatcher has not read yet (it is
+            # charged then): replace it and dispatch again.
+            self._replace(slot)
+            fut = self._executors[slot].submit(_run_in_worker, task)
+        self._running[slot] = fut
+        return fut
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        """Tell every worker to stop, then return once each has exited
+        and been reaped (by its executor's manager thread)."""
+        # ``shutdown`` forgets the manager thread, so take them first.
+        managers = [ex._executor_manager_thread for ex in self._executors]
+        for executor in self._executors:
+            executor.shutdown(wait=False, cancel_futures=True)
+        for thread in managers:
+            if thread is not None:
+                thread.join()
 
 
 def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
-              on_event=None, policy=None, context=None,
-              force_pool: bool = False, keys=None,
+              on_event=None, policy=None, context=None, keys=None,
               label="candidate {}".format) -> None:
     """Run ``(index, fn, args)`` tasks to an outcome each, supervised.
 
     A task runs as ``fn(context, index, *args)``: in-process — no
     fork, no ``PERF`` reset — when one worker suffices (``workers`` is
-    1, the policy has no deadline, no chaos hook is armed and
-    ``force_pool`` is off); otherwise on the context's persistent pool
-    when it keeps one (an explorer's ``pool(workers)``), or on a
-    private pool bound to the context (a sweep's core store, or
-    ``None``) and closed on return.
+    1, the policy has no deadline and no chaos hook is armed);
+    otherwise on the context's persistent pool when it keeps one (an
+    explorer's ``pool(workers)``), or on a private pool bound to the
+    context (a sweep's core store, or ``None``) and closed on return.
 
     Every task that finishes is handed over as ``on_result(index,
     outcome, attempt, pid)``, after its worker's ``PERF`` snapshot and
@@ -211,22 +232,21 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
 
     The rules (``policy`` defaults to ``RetryPolicy()``):
 
-    * at most ``workers`` tasks are in flight, so a worker death has a
-      bounded casualty list;
-    * a break with exactly *one* task in flight attributes the crash to
-      it; with several, every casualty is re-dispatched solo (a
-      *probe*) — the next crash identifies the culprit, and innocents
-      are never charged;
-    * an attempt past its deadline is charged a timeout (the respawn
-      kills its hung worker); the other in-flight tasks re-queue as
-      collateral, uncharged;
+    * at most ``workers`` tasks are in flight, one per worker, so a
+      worker that dies is charged to the one task it ran (a crash),
+      and so is a deadline that expires (a timeout); only that worker
+      is respawned — killed first if it hangs — and the other tasks
+      run on;
     * a charged fault (crash, timeout or ``ReproError``) is retried
       after ``policy.delay_s(keys[index], attempt)`` — in-process by
       sleeping it inline, like a serial loop — until the task has been
       charged ``policy.max_attempts`` times;
     * any other exception from a task — a bug, not a fault — is raised,
       and so is an exception from a callback, but only once the other
-      tasks of the same ``wait()`` round have been handed over.
+      tasks of the same ``wait()`` round have been handed over.  The
+      workers of tasks still running are then replaced, uncharged and
+      without an event, so a pool that outlives the call has every
+      worker idle.
 
     ``workers`` below 1 raises ``ValueError``: no task could ever be
     admitted to the window.
@@ -249,26 +269,24 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
     workers = min(workers, len(tasks))
     pool = None
     owned_pool = getattr(context, "pool", None)
-    if (workers > 1 or force_pool or policy.needs_supervision
+    if (workers > 1 or policy.needs_supervision
             or explorer_mod._EVAL_HOOK is not None):
         pool = (PersistentEvalPool(context, workers) if owned_pool is None
                 else owned_pool(workers))
     # Charged faults per task index; the dispatch attempt number is
     # faults + 1, so injected chaos faults key on a deterministic
-    # attempt sequence even across collateral re-dispatches (which
-    # charge no fault).
+    # attempt sequence.
     faults: dict[int, int] = {}
     failures: dict[int, tuple[Exception, str]] = {}
     pending = deque(tasks)
-    probes: deque = deque()
-    delayed: list[tuple[float, tuple, bool]] = []
+    delayed: list[tuple[float, tuple]] = []
     inflight: dict[Future, tuple] = {}
 
-    def respawn() -> None:
-        pool.respawn()
+    def respawn(fut) -> None:
+        pool.respawn(fut)
         emit("pool_respawned", workers=pool.workers)
 
-    def dispatch(task, probe: bool) -> None:
+    def dispatch(task) -> None:
         index, fn, args = task
         attempt = faults.get(index, 0) + 1
         if pool is None:
@@ -278,19 +296,12 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
             except Exception as exc:  # noqa: BLE001 - as from a worker
                 fut.set_exception(exc)
         else:
-            try:
-                fut = pool.submit((index, fn, args, attempt))
-            except BrokenProcessPool:
-                # A worker died while the executor sat idle (detected
-                # at submit, not through a future).  Nobody's fault:
-                # respawn and dispatch again.
-                respawn()
-                fut = pool.submit((index, fn, args, attempt))
+            fut = pool.submit((index, fn, args, attempt))
         deadline = (None if policy.timeout_s is None
                     else time.monotonic() + policy.timeout_s)
-        inflight[fut] = (task, attempt, deadline, probe)
+        inflight[fut] = (task, attempt, deadline)
 
-    def charge(task, probe: bool, cause: str, error=None) -> None:
+    def charge(task, cause: str, error=None) -> None:
         """Charge one fault: re-queue the task, or finalize it."""
         i = task[0]
         faults[i] = n = faults.get(i, 0) + 1
@@ -314,20 +325,24 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
         emit("task_retried", index=i, cause=cause, attempt=n + 1,
              delay_s=delay)
         if delay > 0 and pool is not None:
-            delayed.append((time.monotonic() + delay, task, probe))
+            delayed.append((time.monotonic() + delay, task))
             return
         _sleep(delay)
-        if probe:
-            probes.append(task)
-        else:
-            pending.appendleft(task)
+        pending.appendleft(task)
 
-    def settle(fut, task, attempt: int, probe: bool) -> None:
-        """Hand a finished task over, or charge its evaluation error."""
+    def settle(fut, task, attempt: int) -> None:
+        """Hand a finished task over, or charge its fault."""
         try:
             outcome, snapshot, spans = fut.result()
+        except BrokenProcessPool:
+            # The task's own worker died under it.
+            PERF.add("dse.pool.worker_deaths")
+            emit("worker_died", index=task[0])
+            respawn(fut)
+            charge(task, CAUSE_CRASH)
+            return
         except ReproError as exc:
-            charge(task, probe, CAUSE_ERROR, exc)
+            charge(task, CAUSE_ERROR, exc)
             return
         pid = os.getpid()
         if snapshot is not None:
@@ -337,35 +352,29 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
         on_result(task[0], outcome, attempt, pid)
 
     try:
-        while pending or probes or delayed or inflight:
+        while pending or delayed or inflight:
             now = time.monotonic()
             # Promote backoff-expired tasks.
             still = []
-            for ready_at, task, probe in delayed:
+            for ready_at, task in delayed:
                 if ready_at <= now:
-                    (probes if probe else pending).append(task)
+                    pending.append(task)
                 else:
-                    still.append((ready_at, task, probe))
+                    still.append((ready_at, task))
             delayed[:] = still
 
-            # Dispatch: probe tasks run strictly solo; otherwise fill
-            # the in-flight window up to the worker count.
-            if probes:
-                if not inflight:
-                    dispatch(probes.popleft(), probe=True)
-            else:
-                while pending and len(inflight) < workers:
-                    dispatch(pending.popleft(), probe=False)
+            # Dispatch: fill the in-flight window up to the worker count.
+            while pending and len(inflight) < workers:
+                dispatch(pending.popleft())
 
             if not inflight:
                 if delayed:
-                    _sleep(min(r for r, _, _ in delayed) - time.monotonic())
+                    _sleep(min(r for r, _ in delayed) - time.monotonic())
                 continue
 
             # Wait bounded by the nearest deadline or backoff expiry.
-            bounds = [d for _, _, d, _ in inflight.values()
-                      if d is not None]
-            bounds += [r for r, _, _ in delayed]
+            bounds = [d for _, _, d in inflight.values() if d is not None]
+            bounds += [r for r, _ in delayed]
             timeout = (min(_MAX_WAIT_S,
                            max(0.05, min(bounds) - time.monotonic()))
                        if bounds else None)
@@ -374,48 +383,24 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
 
             # Hand the whole finished round over before raising anything
             # — results that already exist must never be thrown away.
-            casualties, errors = [], []
+            errors = []
             for fut in done:
-                task, attempt, _, probe = inflight.pop(fut)
+                task, attempt, _ = inflight.pop(fut)
                 try:
-                    settle(fut, task, attempt, probe)
-                except BrokenProcessPool:
-                    casualties.append((task, probe))
+                    settle(fut, task, attempt)
                 except Exception as exc:  # noqa: BLE001 - raised below
                     errors.append(exc)
 
-            if casualties:
-                # Every other in-flight future is broken too.
-                casualties += [(t, p) for t, _, _, p in inflight.values()]
-                inflight.clear()
-                PERF.add("dse.pool.worker_deaths")
-                emit("worker_died",
-                     casualties=[task[0] for task, _ in casualties],
-                     probing=len(casualties) > 1)
-                if len(casualties) == 1:
-                    charge(casualties[0][0], True, CAUSE_CRASH)
-                else:
-                    # Ambiguous: any of them may be the poison one.  No
-                    # fault is charged; each runs solo next, so the next
-                    # crash is attributable.
-                    probes.extend(task for task, _ in casualties)
-                respawn()
-            elif policy.timeout_s is not None:
+            if policy.timeout_s is not None:
                 now = time.monotonic()
-                expired = [f for f in inflight.values() if f[2] <= now]
-                if expired:
-                    # The hung workers only die with the respawn; the
-                    # rest of the in-flight tasks are collateral and
-                    # re-queue without a fault charge.
-                    collateral = [f for f in inflight.values() if f[2] > now]
-                    inflight.clear()
-                    for task, attempt, _, probe in expired:
+                for fut, (task, attempt, deadline) in list(inflight.items()):
+                    if deadline <= now:
+                        # The hung worker only dies with the respawn.
+                        del inflight[fut]
                         emit("task_timeout", index=task[0], attempt=attempt,
                              timeout_s=policy.timeout_s)
-                        charge(task, probe, CAUSE_TIMEOUT)
-                    for task, _, _, probe in collateral:
-                        (probes if probe else pending).appendleft(task)
-                    respawn()
+                        respawn(fut)
+                        charge(task, CAUSE_TIMEOUT)
             if errors:
                 # Raised with the list emptied: a list holding the error
                 # would tie its traceback, and every frame on it (the
@@ -426,10 +411,15 @@ def run_tasks(tasks, workers: int, on_result, *, on_failure=None,
                 finally:
                     errors.clear()
     finally:
-        for fut in inflight:
-            fut.cancel()
-        if pool is not None and owned_pool is None:
-            pool.close()
+        if pool is not None:
+            # An interrupted dispatch (a callback error, Ctrl-C) is no
+            # worker's fault, but a pool that outlives it must not keep
+            # running tasks nobody waits for.
+            for fut in inflight:
+                if not fut.done():
+                    pool.respawn(fut)
+            if owned_pool is None:
+                pool.close()
 
     if failures:
         i = min(failures)

@@ -69,7 +69,7 @@ def emit_bench(section: str, payload: dict,
         if not isinstance(data, dict):
             _preserve_corrupt(path)
             data = {}
-    data.setdefault("machine", _machine_info())
+    data["machine"] = _machine_info()
     data[section] = payload
     atomic_write_text(
         path, json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -7,6 +7,10 @@ through it, so its rules hold for every kind of task:
   deadline, a poison task that crashes every attempt — run straight
   through the dispatcher on candidate and on scenario tasks, and the
   results equal a clean in-process run;
+* each worker runs one task at a time, so a crash is charged to the
+  task that caused it alone — also when the next dispatch finds the
+  worker dead first — and a dispatch interrupted while a task still
+  runs leaves no doomed worker for the next dispatch;
 * a finished ``wait()`` round is handed over whole before any error is
   raised (pinned with a deterministic fake pool);
 * at the API, a crashed worker no longer breaks ``explore`` or a
@@ -15,6 +19,9 @@ through it, so its rules hold for every kind of task:
   resume store.
 """
 
+import os
+import signal
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -141,6 +148,90 @@ class TestDrills:
         clean, faulty = drill(kind, f"crash:{last}:9")  # every attempt
         assert faulty.failures == {last: ("WorkerCrashed", 3, "crash")}
         assert_same_results(clean, faulty, range(last))
+
+
+def _quick_or_doomed(explorer, index):
+    """Task 0 returns at once; task 1 SIGKILLs its worker 0.5 s in."""
+    if index == 1:
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index
+
+
+def _nap(explorer, index):
+    time.sleep(1.0)
+    return index
+
+
+def _await(path, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.01)
+
+
+def _dies_on_go(context, index, marks):
+    """Task 0's first run SIGKILLs its worker once ``marks/go``
+    appears; every other run returns its index."""
+    if index == 0 and not (marks / "killed").exists():
+        _await(marks / "go")
+        (marks / "killed").touch()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index
+
+
+class TestOneTaskPerWorker:
+    def test_crash_is_charged_to_its_own_task_alone(self):
+        tasks = [(i, evaluate_task, (arch,))
+                 for i, arch in enumerate(small_candidates())]
+        with make_explorer() as explorer, parse_chaos("crash:1"):
+            # Warm both workers, armed, on tasks the plan spares.
+            Recorder().run([tasks[0], tasks[2]], 2, context=explorer)
+            PERF.reset()
+            rec = Recorder().run(tasks, 2, context=explorer, policy=POLICY)
+        assert rec.failures == {}
+        assert sorted(rec.results) == list(range(len(tasks)))
+        assert PERF.get("dse.pool.worker_deaths") == 1
+        assert PERF.get("dse.pool.dispatched") == len(tasks) + 1
+        assert rec.events.count("worker_died") == 1
+
+    def test_interrupted_dispatch_leaves_no_doomed_worker(self):
+        def interrupt(i, outcome, attempt, pid):
+            raise LookupError("stop")  # like a fail_after interrupt
+
+        with make_explorer() as explorer:
+            with pytest.raises(LookupError, match="stop"):
+                run_tasks([(i, _quick_or_doomed, ()) for i in range(2)], 2,
+                          interrupt, context=explorer)
+            PERF.reset()
+            rec = Recorder().run([(i, _nap, ()) for i in range(2)], 2,
+                                 context=explorer)
+        assert rec.results == {0: 0, 1: 1}
+        assert PERF.get("dse.pool.worker_deaths") == 0
+        assert "worker_died" not in rec.events
+
+    def test_worker_dead_before_its_future_is_read(self, tmp_path):
+        """Task 0's worker dies while task 1's result is handed over,
+        so the next dispatch finds that worker dead before the
+        dispatcher reads task 0's future."""
+
+        class HoldsTheHandOver(Recorder):
+            def on_result(self, i, outcome, attempt, pid):
+                super().on_result(i, outcome, attempt, pid)
+                if i == 1:
+                    (tmp_path / "go").touch()
+                    _await(tmp_path / "killed")
+                    time.sleep(0.5)  # the executor sees the death
+
+        PERF.reset()
+        rec = HoldsTheHandOver().run(
+            [(i, _dies_on_go, (tmp_path,)) for i in range(3)], 2,
+            policy=POLICY,
+        )
+        assert rec.failures == {}
+        assert rec.results == {0: 0, 1: 1, 2: 2}
+        assert PERF.get("dse.pool.worker_deaths") == 1
+        assert rec.events.count("worker_died") == 1
 
 
 class _FakePool:

@@ -148,15 +148,26 @@ class TestPersistentPool:
             explorer.close()
             explorer.close()
 
+    def test_close_returns_once_every_worker_has_exited(self):
+        explorer = make_explorer(iterations=2)
+        explorer.explore(small_candidates()[:2], workers=2)
+        procs = [proc for ex in explorer._pool._executors
+                 for proc in ex._processes.values()]
+        assert len(procs) == 2
+        explorer.close()
+        assert len(wait([proc.sentinel for proc in procs], timeout=0)) == \
+            len(procs)
+
     def test_abandoned_explorer_stops_its_workers(self):
         """An explorer dropped without ``close()`` is collected with its
-        pool, and the executor stops its forked workers."""
+        pool, and each executor stops its forked worker."""
         import gc
 
         explorer = make_explorer(iterations=2)
         explorer.explore(small_candidates()[:2], workers=2)
         assert explorer._pool.start_method == "fork"
-        procs = list(explorer._pool._pool._processes.values())
+        procs = [proc for ex in explorer._pool._executors
+                 for proc in ex._processes.values()]
         assert len(procs) == 2
         del explorer
         gc.collect()

@@ -1,6 +1,9 @@
 """Tests for the perf subsystem and the evaluation cache layers."""
 
 import gc
+import json
+import os
+import platform
 
 import pytest
 
@@ -104,6 +107,22 @@ class TestBenchEmission:
         assert data["one"] == {"v": 1}
         assert data["two"] == {"v": 2}
         assert "machine" in data
+
+    def test_machine_block_describes_the_emitting_host(self, tmp_path):
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text(json.dumps({
+            "machine": {"python": "2.7", "platform": "elsewhere",
+                        "cpus": 512},
+            "old": {"v": 0},
+        }))
+        emit_bench("one", {"v": 1}, path)
+        data = read_bench(path)
+        assert data["machine"] == {
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "cpus": os.cpu_count(),
+        }
+        assert data["old"] == {"v": 0}
 
     def test_read_missing_returns_empty(self, tmp_path):
         assert read_bench(tmp_path / "nope.json") == {}

@@ -60,7 +60,7 @@ class TestSpawnPool:
 
     def test_abandoned_explorer_stops_its_workers(self, spawn_method):
         """An explorer dropped without ``close()`` is collected with its
-        pool, and the executor stops its spawned workers."""
+        pool, and each executor stops its spawned worker."""
         explorer = DesignSpaceExplorer(
             [Workload(tiny_graph(), batch=2)],
             sa_settings=SASettings(iterations=2, seed=11),
@@ -68,7 +68,8 @@ class TestSpawnPool:
         )
         explorer.explore(small_candidates()[:2], workers=2)
         assert explorer._pool.start_method == "spawn"
-        procs = list(explorer._pool._pool._processes.values())
+        procs = [proc for ex in explorer._pool._executors
+                 for proc in ex._processes.values()]
         assert len(procs) == 2
         del explorer
         gc.collect()
